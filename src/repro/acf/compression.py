@@ -30,24 +30,24 @@ ablation chain of Figure 7 (top).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, replace as dc_replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import AcfConfigError
+from repro.errors import AcfConfigError, AcfError
 from repro.acf.base import AcfInstallation
 from repro.core.directives import Lit, TrigField
 from repro.core.pattern import PatternSpec
 from repro.core.production import ProductionSet
 from repro.core.replacement import ReplacementInstr, ReplacementSpec
 from repro.isa.instruction import INSTRUCTION_BYTES, Instruction
-from repro.isa.opcodes import Format, OpClass, Opcode
+from repro.isa.opcodes import OPCODE_BY_CODE, Format, OpClass, Opcode
 from repro.isa.registers import ZERO_REG
 from repro.program.blocks import find_basic_blocks
 from repro.program.builder import split_address
 from repro.program.image import ProgramImage
 
 
-class CompressionError(ValueError):
+class CompressionError(AcfError):
     """Raised when an image cannot be compressed as requested."""
 
 
@@ -96,14 +96,16 @@ FIGURE7_VARIANTS = (
 _P_SLOTS = ("p1", "p2", "p3")
 _PARAM_IMM_MIN, _PARAM_IMM_MAX = -16, 15
 _P23_MIN, _P23_MAX = -512, 511
+_NO_PARAMS = (ZERO_REG, ZERO_REG, ZERO_REG)
 
 
 # ----------------------------------------------------------------------
-# Candidate eligibility and template construction
+# Candidate eligibility and template keys
 # ----------------------------------------------------------------------
-def _instruction_compressible(instr: Instruction,
-                              options: CompressionOptions,
-                              is_last: bool) -> bool:
+def _may_end_sequence(instr: Instruction,
+                      options: CompressionOptions) -> bool:
+    """Whether ``instr`` may end a candidate sequence; a non-branch that
+    may end one may also sit anywhere inside one."""
     op = instr.opcode
     if op.opclass in (OpClass.RESERVED, OpClass.SYSTEM, OpClass.NOP,
                       OpClass.DISE_BRANCH, OpClass.INDIRECT_JUMP):
@@ -111,20 +113,11 @@ def _instruction_compressible(instr: Instruction,
     if op is Opcode.BSR:
         return False
     if op.is_branch:
-        if not options.compress_branches or not is_last:
+        if not options.compress_branches:
             return False
         if op is Opcode.BR and instr.ra != ZERO_REG:
             return False  # linking br writes a PC-derived value
     return True
-
-
-@dataclass
-class _Template:
-    """A parameterized dictionary-entry candidate."""
-
-    key: Tuple[ReplacementInstr, ...]
-    #: operand descriptors per instance param slot: ('reg', reg) / ('imm', v)
-    has_branch: bool
 
 
 @dataclass
@@ -137,26 +130,130 @@ class _Occurrence:
     branch_index: Optional[int]
 
 
-def _reg_directive(reg: Optional[int], param_of: Dict[Tuple[str, int], str]):
-    if reg is None:
-        return None
-    slot = param_of.get(("reg", reg))
-    return TrigField(slot) if slot else Lit(reg)
-
-
-def _imm_directive(value: Optional[int], param_of: Dict[Tuple[str, int], str]):
-    if value is None:
-        return None
-    slot = param_of.get(("imm", value))
-    return TrigField(slot) if slot else Lit(value)
-
-
 #: Parameter-assignment strategies tried for each candidate sequence.  The
 #: paper builds an exhaustive candidate set and merges via parameterization;
 #: trying both operand orders approximates that — a sequence whose sharing
 #: hinges on an immediate (Figure 4's ``lda r, 8(r)`` vs ``lda r, -8(r)``)
 #: unifies under ``imms_first`` even when registers exhaust the slots.
 STRATEGIES = ("regs_first", "imms_first")
+
+
+#: How many of the leading (ra, rb, rc) fields name operand registers.
+_OPERAND_FIELDS = {Format.BRANCH: 1, Format.MEM: 2, Format.OPERATE: 3}
+
+
+def _features(instructions: List[Instruction],
+              options: CompressionOptions) -> List[tuple]:
+    """Per-instruction facts the key builder reads, computed once per image:
+    ``(code, is_branch, ok_mid, ok_last, regs, imm_param, ra, rb, rc, imm)``.
+
+    ``ok_mid``/``ok_last`` are eligibility inside and at the end of a
+    sequence, ``regs`` the non-zero operand registers in field order, and
+    ``imm_param`` the immediate when it fits a 5-bit parameter.
+    """
+    features = []
+    for instr in instructions:
+        op = instr.opcode
+        is_branch = op.is_branch
+        imm = instr.imm
+        imm_param = imm if (not is_branch and imm is not None and
+                            _PARAM_IMM_MIN <= imm <= _PARAM_IMM_MAX) else None
+        fields = (instr.ra, instr.rb, instr.rc)
+        ok_last = _may_end_sequence(instr, options)
+        features.append((
+            op.code, is_branch, ok_last and not is_branch, ok_last,
+            tuple(r for r in fields[:_OPERAND_FIELDS.get(op.format, 0)]
+                  if r is not None and r != ZERO_REG),
+            imm_param, instr.ra, instr.rb, instr.rc, imm,
+        ))
+    return features
+
+
+def _template_keys(features: List[tuple], parameterize: bool,
+                   strategies: Tuple[str, ...]
+                   ) -> Optional[Dict[tuple, Tuple[int, int, int]]]:
+    """The distinct keys of one sequence under ``strategies``, each mapped
+    to its parameter values (first strategy wins), or None when the
+    sequence is ineligible.
+
+    A key holds one ``(opcode code, ra, rb, rc, imm)`` slot per
+    instruction; each field encodes its directive bijectively —
+    ``Lit(v)`` as ``v``, ``TrigField(f)`` as ``f``, no directive as None —
+    so two keys are equal exactly when their materialized templates are.
+    """
+    last = len(features) - 1
+    for offset, feature in enumerate(features):
+        if not feature[3 if offset == last else 2]:
+            return None
+    branch = features[last][1]
+
+    if not parameterize:
+        if branch:
+            return None  # unparameterized compression cannot move branches
+        key = tuple((code, ra, rb, rc, imm)
+                    for code, _, _, _, _, _, ra, rb, rc, imm in features)
+        return {key: _NO_PARAMS}
+
+    # Operands in order of appearance.
+    seen_regs: List[int] = []
+    seen_imms: List[int] = []
+    for feature in features:
+        for reg in feature[4]:
+            if reg not in seen_regs:
+                seen_regs.append(reg)
+        imm = feature[5]
+        if imm is not None and imm not in seen_imms:
+            seen_imms.append(imm)
+    regs = [(True, r) for r in seen_regs]
+    imms = [(False, v) for v in seen_imms]
+
+    # Parameter slots: a trailing branch consumes P2:P3 for its offset.
+    num_slots = 1 if branch else 3
+    made: Dict[tuple, Tuple[int, int, int]] = {}
+    for strategy in strategies:
+        if strategy == "regs_first":
+            operands = regs + imms
+        elif strategy == "imms_first":
+            operands = imms + regs
+        else:
+            raise AcfConfigError(f"unknown strategy {strategy!r}")
+        reg_slot: Dict[int, str] = {}
+        imm_slot: Dict[int, str] = {}
+        params = list(_NO_PARAMS)
+        for index, (is_reg, value) in enumerate(operands[:num_slots]):
+            if is_reg:
+                reg_slot[value] = _P_SLOTS[index]
+                params[index] = value
+            else:
+                imm_slot[value] = _P_SLOTS[index]
+                params[index] = value & 0x1F
+        reg = reg_slot.get
+        key = tuple(
+            (code, reg(ra, ra), None, None, "p23") if is_branch else
+            (code, reg(ra, ra), reg(rb, rb), reg(rc, rc),
+             imm_slot.get(imm, imm))
+            for code, is_branch, _, _, _, _, ra, rb, rc, imm in features
+        )
+        made.setdefault(key, tuple(params))
+    return made
+
+
+def _directive(field_value):
+    if field_value is None:
+        return None
+    if isinstance(field_value, str):
+        return TrigField(field_value)
+    return Lit(field_value)
+
+
+def materialize_template(key: tuple) -> Tuple[ReplacementInstr, ...]:
+    """The ``ReplacementInstr`` sequence a template key encodes."""
+    return tuple(
+        ReplacementInstr(opcode=OPCODE_BY_CODE[code], ra=_directive(ra),
+                         rb=_directive(rb), rc=_directive(rc),
+                         imm=_directive(imm))
+        for code, ra, rb, rc, imm in key
+    )
 
 
 def make_template(instrs: List[Instruction],
@@ -169,114 +266,27 @@ def make_template(instrs: List[Instruction],
     Returns None when the sequence is ineligible.  Two sequences share a
     dictionary entry iff their templates are equal.
     """
-    last = len(instrs) - 1
-    for offset, instr in enumerate(instrs):
-        if not _instruction_compressible(instr, options, offset == last):
-            return None
-
-    branch = instrs[last] if instrs[last].opcode.is_branch else None
-
-    if not options.parameterize:
-        rinstrs = []
-        for instr in instrs:
-            if instr.opcode.is_branch:
-                return None  # unparameterized compression cannot move branches
-            rinstrs.append(_literal_rinstr(instr))
-        return tuple(rinstrs), (ZERO_REG, ZERO_REG, ZERO_REG)
-
-    # Parameter slots: a trailing branch consumes P2:P3 for its offset.
-    slots = ["p1"] if branch is not None else ["p1", "p2", "p3"]
-
-    # Operands in order of appearance.
-    seen_regs: List[int] = []
-    seen_imms: List[int] = []
-    for instr in instrs:
-        is_branch = instr.opcode.is_branch
-        for reg in _operand_regs(instr):
-            if reg != ZERO_REG and reg not in seen_regs:
-                seen_regs.append(reg)
-        if not is_branch and instr.imm is not None and \
-                _PARAM_IMM_MIN <= instr.imm <= _PARAM_IMM_MAX and \
-                instr.imm not in seen_imms:
-            seen_imms.append(instr.imm)
-
-    if strategy == "regs_first":
-        operands = [("reg", r) for r in seen_regs]
-        operands += [("imm", v) for v in seen_imms]
-    elif strategy == "imms_first":
-        operands = [("imm", v) for v in seen_imms]
-        operands += [("reg", r) for r in seen_regs]
-    else:
-        raise AcfConfigError(f"unknown strategy {strategy!r}")
-
-    param_of: Dict[Tuple[str, int], str] = {}
-    params: List[int] = [ZERO_REG, ZERO_REG, ZERO_REG]
-    slot_iter = iter(slots)
-    for kind, value in operands:
-        slot = next(slot_iter, None)
-        if slot is None:
-            break
-        param_of[(kind, value)] = slot
-        params[_P_SLOTS.index(slot)] = value if kind == "reg" else value & 0x1F
-
-    rinstrs = []
-    for offset, instr in enumerate(instrs):
-        if instr.opcode.is_branch:
-            rinstrs.append(
-                ReplacementInstr(
-                    opcode=instr.opcode,
-                    ra=_reg_directive(instr.ra, param_of),
-                    imm=TrigField("p23"),
-                )
-            )
-        else:
-            rinstrs.append(_parameterized_rinstr(instr, param_of))
-    return tuple(rinstrs), tuple(params)
-
-
-def _operand_regs(instr: Instruction) -> Tuple[int, ...]:
-    fmt = instr.format
-    if fmt is Format.MEM:
-        return tuple(r for r in (instr.ra, instr.rb) if r is not None)
-    if fmt is Format.OPERATE:
-        return tuple(r for r in (instr.ra, instr.rb, instr.rc)
-                     if r is not None)
-    if fmt is Format.BRANCH:
-        return (instr.ra,) if instr.ra is not None else ()
-    return ()
-
-
-def _literal_rinstr(instr: Instruction) -> ReplacementInstr:
-    return ReplacementInstr(
-        opcode=instr.opcode,
-        ra=Lit(instr.ra) if instr.ra is not None else None,
-        rb=Lit(instr.rb) if instr.rb is not None else None,
-        rc=Lit(instr.rc) if instr.rc is not None else None,
-        imm=Lit(instr.imm) if instr.imm is not None else None,
-    )
-
-
-def _parameterized_rinstr(instr: Instruction,
-                          param_of: Dict[Tuple[str, int], str]
-                          ) -> ReplacementInstr:
-    return ReplacementInstr(
-        opcode=instr.opcode,
-        ra=_reg_directive(instr.ra, param_of),
-        rb=_reg_directive(instr.rb, param_of),
-        rc=_reg_directive(instr.rc, param_of),
-        imm=_imm_directive(instr.imm, param_of),
-    )
+    made = _template_keys(_features(instrs, options), options.parameterize,
+                          (strategy,))
+    if made is None:
+        return None
+    ((key, params),) = made.items()
+    return materialize_template(key), params
 
 
 # ----------------------------------------------------------------------
 # Candidate enumeration
 # ----------------------------------------------------------------------
 def enumerate_candidates(image: ProgramImage, options: CompressionOptions
-                         ) -> Dict[Tuple[ReplacementInstr, ...],
-                                   List[_Occurrence]]:
-    """All candidate (template -> occurrences) groups in the image."""
+                         ) -> Dict[tuple, List[_Occurrence]]:
+    """All candidate (template key -> occurrences) groups in the image.
+
+    Keys are plain tuples of ints and strings (see :func:`_template_keys`),
+    cheap to hash; :func:`materialize_template` turns one into the
+    ``ReplacementInstr`` tuple :func:`make_template` would return.
+    """
     candidates: Dict[tuple, List[_Occurrence]] = {}
-    instructions = image.instructions
+    features = _features(image.instructions, options)
     # Load-address pairs are relocation sites: they must survive verbatim so
     # they can be re-resolved after compression moves the code.
     blocked = [False] * image.instruction_count
@@ -289,31 +299,19 @@ def enumerate_candidates(image: ProgramImage, options: CompressionOptions
         for start in range(block.start, block.end):
             max_len = min(options.max_seq_len, block.end - start)
             for length in range(options.min_seq_len, max_len + 1):
-                if blocked[start + length - 1] or blocked[start]:
+                stop = start + length
+                if blocked[stop - 1] or blocked[start]:
                     break
-                seq = instructions[start:start + length]
-                seen_keys = set()
-                poisoned = False
-                for strategy in strategies:
-                    made = make_template(seq, options, strategy=strategy)
-                    if made is None:
-                        poisoned = True
-                        break
-                    key, params = made
-                    if key in seen_keys:
-                        continue  # strategies coincide (e.g. no immediates)
-                    seen_keys.add(key)
-                    branch_index = (
-                        start + length - 1
-                        if seq[-1].opcode.is_branch else None
-                    )
+                made = _template_keys(features[start:stop],
+                                      options.parameterize, strategies)
+                if made is None:
+                    break  # an ineligible instr poisons longer sequences too
+                branch_index = stop - 1 if features[stop - 1][1] else None
+                for key, params in made.items():
                     candidates.setdefault(key, []).append(
                         _Occurrence(start=start, length=length,
-                                    params=params,
-                                    branch_index=branch_index)
+                                    params=params, branch_index=branch_index)
                     )
-                if poisoned:
-                    break  # an ineligible instr poisons longer sequences too
     return candidates
 
 
@@ -363,31 +361,31 @@ def select_dictionary(image: ProgramImage, options: CompressionOptions
     # Equal-gain ties break on enumeration order, which is a deterministic
     # function of the image — never on id(), whose values vary from process
     # to process and would give parallel workers different dictionaries.
-    rank = {key: index for index, key in enumerate(candidates)}
-
     heap = []
-    for key, occurrences in candidates.items():
+    for rank, (key, occurrences) in enumerate(candidates.items()):
         occurrences.sort(key=lambda o: o.start)
         usable = _usable_occurrences(occurrences, claimed)
         gain = _savings(usable, len(key), options)
         if gain > 0:
-            heapq.heappush(heap, (-gain, rank[key], key))
+            heapq.heappush(heap, (-gain, rank, key))
 
     entries: List[DictionaryEntry] = []
     while heap and len(entries) < options.max_dict_entries:
-        neg_gain, _, key = heapq.heappop(heap)
+        neg_gain, rank, key = heapq.heappop(heap)
         usable = _usable_occurrences(candidates[key], claimed)
         gain = _savings(usable, len(key), options)
         if gain <= 0:
             continue
         if -neg_gain != gain:
-            heapq.heappush(heap, (-gain, rank[key], key))  # stale; re-rank
+            heapq.heappush(heap, (-gain, rank, key))  # stale; re-rank
             continue
         for occ in usable:
             for index in range(occ.start, occ.start + occ.length):
                 claimed[index] = True
         entries.append(
-            DictionaryEntry(tag=len(entries), template=key, occurrences=usable)
+            DictionaryEntry(tag=len(entries),
+                            template=materialize_template(key),
+                            occurrences=usable)
         )
     return entries
 
@@ -431,7 +429,7 @@ class CompressionResult:
         )
 
 
-def _patch_branch_params(template, params, offset_words):
+def _patch_branch_params(params, offset_words):
     """Fill P2:P3 with a branch offset; returns patched params or None."""
     if not _P23_MIN <= offset_words <= _P23_MAX:
         return None
@@ -568,9 +566,8 @@ def _build_compressed(image, entries, options):
         if delta % INSTRUCTION_BYTES:
             violations.append((entry, occ))
             continue
-        patched = _patch_branch_params(
-            entry.template, occ.params, delta // INSTRUCTION_BYTES
-        )
+        patched = _patch_branch_params(occ.params,
+                                       delta // INSTRUCTION_BYTES)
         if patched is None:
             violations.append((entry, occ))
             continue

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.errors import AcfError
 from repro.acf.base import AcfInstallation
 from repro.core.controller import DiseController
 from repro.core.directives import Lit, TrigField
@@ -58,7 +59,7 @@ T_P1 = TrigField("p1")   # the variant (non-invariant) source register
 T_P3 = TrigField("p3")   # the destination register
 
 
-class SpecializationError(ValueError):
+class SpecializationError(AcfError):
     """Raised when a site cannot be planted or bound."""
 
 

@@ -54,17 +54,36 @@ logger = get_logger(__name__)
 # ----------------------------------------------------------------------
 # Supervision knobs (explicit argument > environment > default)
 # ----------------------------------------------------------------------
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    reports one, else the machine's CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
+
+
 def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """Worker count: explicit argument > ``REPRO_JOBS`` env > 1."""
+    """Worker count: explicit argument > ``REPRO_JOBS`` env > 1.
+
+    Warns when the count exceeds the CPUs this process may use: the extra
+    workers only time-share cores, so they cannot beat a smaller pool.
+    """
+    resolved = 1
     if jobs is not None:
-        return max(1, int(jobs))
-    env = os.environ.get("REPRO_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            logger.warning("ignoring non-integer REPRO_JOBS=%r", env)
-    return 1
+        resolved = max(1, int(jobs))
+    else:
+        env = os.environ.get("REPRO_JOBS")
+        if env:
+            try:
+                resolved = max(1, int(env))
+            except ValueError:
+                logger.warning("ignoring non-integer REPRO_JOBS=%r", env)
+    cpus = _usable_cpus()
+    if resolved > cpus:
+        logger.warning("%d jobs exceed the %d CPU(s) this process may use",
+                       resolved, cpus)
+    return resolved
 
 
 def _env_number(name: str, cast, floor):

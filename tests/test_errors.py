@@ -118,6 +118,14 @@ class TestSimulatorRaises:
             mfi_production_source("nonsense")
         assert issubclass(MfiError, AcfError)
 
+    def test_compression_and_specialization_errors_are_acf_errors(self):
+        from repro.acf.compression import CompressionError
+        from repro.acf.specialization import SpecializationError
+
+        for cls in (CompressionError, SpecializationError):
+            assert issubclass(cls, AcfError)
+            assert issubclass(cls, ValueError)    # the deprecation shim
+
     def test_acf_config_errors_replace_bare_value_error(self):
         from repro.acf.composition import build_composition
         from repro.workloads.generator import generate_by_name

@@ -1,6 +1,7 @@
 """Parallel figure harness: fan-out, fallback, and Suite integration."""
 
 import logging
+import os
 from concurrent.futures import Future
 
 import pytest
@@ -54,6 +55,27 @@ class TestResolveJobs:
     def test_floor_is_one(self):
         assert resolve_jobs(0) == 1
         assert resolve_jobs(-4) == 1
+
+    def test_warns_when_jobs_exceed_affinity(self, monkeypatch, caplog):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        with caplog.at_level(logging.WARNING, logger="repro.fabric.supervise"):
+            assert resolve_jobs(2) == 2
+            assert not caplog.records
+            assert resolve_jobs(3) == 3
+        (record,) = caplog.records
+        assert "3 jobs exceed the 2 CPU(s)" in record.getMessage()
+
+    def test_cpu_count_stands_in_for_missing_affinity(self, monkeypatch,
+                                                      caplog):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        with caplog.at_level(logging.WARNING, logger="repro.fabric.supervise"):
+            assert resolve_jobs(4) == 4
+            assert not caplog.records
+            assert resolve_jobs(5) == 5
+        (record,) = caplog.records
+        assert "5 jobs exceed the 4 CPU(s)" in record.getMessage()
 
 
 class TestTraceTask:
