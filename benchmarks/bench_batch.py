@@ -34,7 +34,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.acf.mfi import attach_mfi, ensure_error_stub
+from repro.acf.mfi import attach_mfi
 from repro.harness.parallel import FUNCTIONAL_DISE, MAX_STEPS
 from repro.sim.batch import BatchMachine
 from repro.verify.observe import Observer
@@ -48,11 +48,10 @@ COHORTS = (1, 4, 8, 16)
 
 
 def _installation(name, scale):
-    image = generate_benchmark(get_profile(name), scale=scale)
-    # Pre-stub so attach_mfi keeps this exact image: every machine then
-    # shares the image-wide translation and compiled-block stores.
-    ensure_error_stub(image)
-    return attach_mfi(image, "dise3")
+    # Every machine made from one installation shares its image, and with
+    # it the image-wide translation and compiled-block stores.
+    return attach_mfi(generate_benchmark(get_profile(name), scale=scale),
+                      "dise3")
 
 
 def _machines(installation, count):

@@ -27,12 +27,12 @@ from repro.errors import AcfError
 from repro.core.production import ProductionSet
 from repro.isa.assembler import Label
 from repro.isa.build import Imm, bis, fault, li, srl, xor
-from repro.isa.instruction import Instruction
-from repro.isa.opcodes import OpClass, Opcode
+from repro.isa.instruction import INSTRUCTION_BYTES, Instruction
+from repro.isa.opcodes import UNSAFE_OPCLASSES, OpClass, Opcode
 from repro.isa.registers import dise_reg, parse_reg
-from repro.program.builder import LoadAddress, ProgramBuilder, SEGMENT_SHIFT
+from repro.program.builder import ProgramBuilder, SEGMENT_SHIFT
 from repro.program.image import ProgramImage
-from repro.program.rewriter import image_to_items
+from repro.program.rewriter import image_to_items, label_names
 
 #: Fault code raised by the MFI error handler.
 MFI_FAULT_CODE = 7
@@ -104,20 +104,36 @@ R2:
 
 
 def ensure_error_stub(image: ProgramImage) -> ProgramImage:
-    """Append the ``__mfi_error`` handler stub if the image lacks one."""
+    """Append the ``__mfi_error`` handler stub if the image lacks one.
+
+    The stub lands right after the last instruction; every other
+    instruction keeps its address and size, and the entry stays put.  The
+    tables are those a rebuild through
+    :func:`~repro.program.rewriter.image_to_items` gives: one label per
+    index (:func:`label_names`) in index order, then ``__mfi_error``; and
+    load-address pairs in index order.
+    """
     if ERROR_LABEL in image.symbols:
         return image
-    builder = ProgramBuilder(text_base=image.text_base,
-                             data_base=image.data_base)
-    builder.adopt_data(image.data_words, image.data_size)
-    builder.emit_items(image_to_items(image))
-    builder.label(ERROR_LABEL)
-    builder.emit(fault(MFI_FAULT_CODE))
-    entry_names = [n for n, i in image.symbols.items()
-                   if i == image.entry_index]
-    if entry_names:
-        builder.set_entry(entry_names[0])
-    return builder.build()
+    count = image.instruction_count
+    names = label_names(image)
+    symbols = {names[index]: index for index in sorted(names)}
+    symbols[ERROR_LABEL] = count
+    stub_address = (image.addresses[-1] + image.sizes[-1] if count
+                    else image.text_base)
+    return ProgramImage(
+        instructions=image.instructions + [fault(MFI_FAULT_CODE)],
+        addresses=image.addresses + [stub_address],
+        sizes=image.sizes + [INSTRUCTION_BYTES],
+        target_index=image.target_index + [None],
+        symbols=symbols,
+        entry_index=image.entry_index,
+        text_base=image.text_base,
+        data_base=image.data_base,
+        data_words=dict(image.data_words),
+        data_size=image.data_size,
+        load_addresses=dict(sorted(image.load_addresses.items())),
+    )
 
 
 def mfi_production_set(image: ProgramImage,
@@ -163,14 +179,16 @@ def attach_mfi(image: ProgramImage, variant="dise3") -> AcfInstallation:
 # Binary-rewriting baseline
 # ----------------------------------------------------------------------
 def _uses_scavenged(image: ProgramImage) -> bool:
-    scavenged = set(SCAVENGED_REGS)
+    scavenged = frozenset(SCAVENGED_REGS)
     for instr in image.instructions:
-        regs = set(instr.source_regs())
-        dest = instr.dest_reg()
-        if dest is not None:
-            regs.add(dest)
-        if regs & scavenged:
-            return True
+        # Only an instruction naming a scavenged register in some field can
+        # read or write one; check its exact dataflow only then.
+        if instr.ra in scavenged or instr.rb in scavenged \
+                or instr.rc in scavenged:
+            regs = set(instr.source_regs())
+            regs.add(instr.dest_reg())
+            if regs & scavenged:
+                return True
     return False
 
 
@@ -201,61 +219,67 @@ def rewrite_mfi(image: ProgramImage) -> AcfInstallation:
         )
     data_seg, code_seg = segment_ids(image)
     t8, t9, t10, t11 = SCAVENGED_REGS
-    unsafe = (OpClass.LOAD, OpClass.STORE, OpClass.INDIRECT_JUMP)
+    entry_names = [n for n, i in image.symbols.items()
+                   if i == image.entry_index]
+    if not entry_names:
+        raise MfiError("image has no entry symbol to plant the prologue at")
+    entry_name = entry_names[0]
 
     builder = ProgramBuilder(text_base=image.text_base,
                              data_base=image.data_base)
     builder.adopt_data(image.data_words, image.data_size)
-    items = image_to_items(image)
-    entry_names = [n for n, i in image.symbols.items()
-                   if i == image.entry_index]
-    entry_name = entry_names[0] if entry_names else None
-    if entry_name is None:
-        raise MfiError("image has no entry symbol to plant the prologue at")
+    emitted = builder.items
 
+    # The check sequence depends only on (address register, segment
+    # register); instructions are immutable, so one copy serves every use.
+    checks = {}
     stub_counter = 0
     since_stub = 0
     stub_pending = False
+    branch = Instruction(Opcode.BNE, ra=t9, target=f"{ERROR_LABEL}_0")
 
-    def stub_label() -> str:
-        return f"{ERROR_LABEL}_{stub_counter}"
+    def plant_stub():
+        emitted.append(Label(f"{ERROR_LABEL}_{stub_counter}"))
+        emitted.append(fault(MFI_FAULT_CODE))
 
-    def emit(instr: Instruction):
-        nonlocal since_stub
-        builder.emit(instr)
-        since_stub += 1
-
-    for item in items:
-        if isinstance(item, Label):
-            builder.emit_items([item])
+    for item in image_to_items(image):
+        if isinstance(item, Instruction):
+            opclass = item.opcode.opclass
+            if opclass in UNSAFE_OPCLASSES:
+                seg_reg = t11 if opclass is OpClass.INDIRECT_JUMP else t10
+                addr_reg = item.rs
+                check = checks.get((addr_reg, seg_reg))
+                if check is None:
+                    check = checks[addr_reg, seg_reg] = (
+                        bis(addr_reg, addr_reg, t8),   # defensive copy
+                        srl(t8, Imm(SEGMENT_SHIFT), t9),
+                        xor(t9, seg_reg, t9),
+                    )
+                emitted.extend(check)
+                emitted.append(branch)
+                since_stub += 4
+                stub_pending = True
+            emitted.append(item)
+            since_stub += 1
+            if since_stub >= STUB_INTERVAL and item.opcode in _BARRIERS:
+                plant_stub()
+                stub_counter += 1
+                since_stub = 0
+                stub_pending = False
+                branch = Instruction(Opcode.BNE, ra=t9,
+                                     target=f"{ERROR_LABEL}_{stub_counter}")
+        elif isinstance(item, Label):
+            emitted.append(item)
             if item.name == entry_name:
-                emit(li(data_seg, t10))
-                emit(li(code_seg, t11))
-            continue
-        if isinstance(item, LoadAddress):
-            builder.emit_items([item])
+                emitted.append(li(data_seg, t10))
+                emitted.append(li(code_seg, t11))
+                since_stub += 2
+        else:  # LoadAddress: an ldah/lda pair
+            emitted.append(item)
             since_stub += 2
-            continue
-        instr = item
-        if instr.opclass in unsafe:
-            seg_reg = t11 if instr.opclass is OpClass.INDIRECT_JUMP else t10
-            addr_reg = instr.rs
-            emit(bis(addr_reg, addr_reg, t8))   # defensive copy
-            emit(srl(t8, Imm(SEGMENT_SHIFT), t9))
-            emit(xor(t9, seg_reg, t9))
-            emit(Instruction(Opcode.BNE, ra=t9, target=stub_label()))
-            stub_pending = True
-        emit(instr)
-        if since_stub >= STUB_INTERVAL and instr.opcode in _BARRIERS:
-            builder.label(stub_label())
-            emit(fault(MFI_FAULT_CODE))
-            stub_counter += 1
-            since_stub = 0
-            stub_pending = False
 
     if stub_pending or stub_counter == 0:
-        builder.label(stub_label())
-        emit(fault(MFI_FAULT_CODE))
+        plant_stub()
 
     builder.set_entry(entry_name)
     return AcfInstallation(image=builder.build(), name="mfi-rewrite")

@@ -29,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
+import struct
 import sys
 import zlib
 from array import array
@@ -50,7 +51,9 @@ logger = get_logger(__name__)
 #: 3: structure-of-arrays payload — the five trace columns travel as raw
 #:    ``array('Q')`` buffers (plus the recorder's byte order) instead of
 #:    per-op pickled tuples.
-SCHEMA_VERSION = 3
+#: 4: keys hash packed fixed-width columns of the image and data segment
+#:    instead of per-instruction ``repr`` strings.
+SCHEMA_VERSION = 4
 
 _ENV_VAR = "REPRO_TRACE_CACHE"
 _DISABLED_VALUES = ("0", "off", "none", "no", "false")
@@ -68,7 +71,7 @@ class CacheError(CacheCorruptionError, RuntimeError):
 # Integrity framing
 # ----------------------------------------------------------------------
 #: File header of a framed cache entry (version baked into the magic).
-_MAGIC = b"RDTC3\n"
+_MAGIC = b"RDTC%d\n" % SCHEMA_VERSION
 #: Truncated sha256 length — 64 bits of integrity is plenty for rot
 #: detection (this is not an authentication boundary).
 _DIGEST_BYTES = 16
@@ -117,30 +120,95 @@ def unframe_payload(data: bytes) -> bytes:
 # ----------------------------------------------------------------------
 # Fingerprinting
 # ----------------------------------------------------------------------
+#: Stand-in for ``None`` in a packed int64 column.  A column holding this
+#: value itself cannot be packed (see :func:`_pack`), so the sentinel never
+#: aliases a real value.
+_NONE = -(1 << 63)
+
+
+def _pack(values, kind: str = "q") -> bytes:
+    """Little-endian fixed-width bytes of one int column (``kind`` is a
+    :mod:`struct` code: ``"q"`` signed, ``"Q"`` unsigned 64-bit).
+
+    ``None`` packs as :data:`_NONE`.  Raises ``struct.error`` when a value
+    does not fit or collides with the sentinel.
+    """
+    if None in values:
+        if _NONE in values:
+            raise struct.error("value collides with the None sentinel")
+        values = [_NONE if value is None else value for value in values]
+    return struct.pack(f"<{len(values)}{kind}", *values)
+
+
+def _text_encoding(image: ProgramImage) -> bytes:
+    """Injective bytes for the instruction list: one packed column per
+    field, or per-instruction ``repr`` when a symbolic branch target
+    survives or a column does not pack (see :func:`_pack`)."""
+    instrs = image.instructions
+    if {instr.target for instr in instrs} <= {None}:
+        try:
+            return b"cols" + b"".join((
+                _pack([instr.opcode.code for instr in instrs]),
+                _pack([instr.ra for instr in instrs]),
+                _pack([instr.rb for instr in instrs]),
+                _pack([instr.rc for instr in instrs]),
+                _pack([instr.imm for instr in instrs]),
+            ))
+        except struct.error:
+            pass
+    return b"repr" + "".join(
+        repr((instr.opcode.code, instr.ra, instr.rb, instr.rc, instr.imm,
+              instr.target))
+        for instr in instrs
+    ).encode()
+
+
+def _words_digest(words: dict) -> bytes:
+    """Digest of a data segment (address -> value), in address order.
+
+    Values pack as unsigned 64-bit words; a segment holding a value outside
+    that range (negative, or wider than 64 bits) is hashed through ``repr``
+    under its own tag instead.
+    """
+    addresses = sorted(words)
+    values = [words[address] for address in addresses]
+    try:
+        body = b"Q" + _pack(addresses) + _pack(values, "Q")
+    except struct.error:
+        body = b"R" + repr(list(zip(addresses, values))).encode()
+    return hashlib.sha256(b"%d:" % len(addresses) + body).digest()
+
+
+def _image_words_digest(image: ProgramImage) -> bytes:
+    """:func:`_words_digest` of the image's data segment, once per image."""
+    cached = getattr(image, "_cached_words_digest", None)
+    if cached is None:
+        cached = _words_digest(image.data_words)
+        image._cached_words_digest = cached
+    return cached
+
+
 def image_fingerprint(image: ProgramImage) -> str:
     """Stable digest of everything execution can observe in an image.
 
-    Memoised on the image: transformations build *new* images rather than
-    mutating, so the digest of a given object never changes.
+    Hashes fixed-width packed columns (see :func:`_pack`), so the digest is
+    the same in every process and on every host.  Memoised on the image:
+    transformations build *new* images rather than mutating, so the digest
+    of a given object never changes.
     """
     cached = getattr(image, "_cached_fingerprint", None)
     if cached is not None:
         return cached
-    h = hashlib.sha256()
-    for instr in image.instructions:
-        h.update(repr((instr.opcode.code, instr.ra, instr.rb, instr.rc,
-                       instr.imm, instr.target)).encode())
-    h.update(repr(tuple(image.addresses)).encode())
-    h.update(repr(tuple(image.sizes)).encode())
-    h.update(repr(tuple(image.target_index)).encode())
-    h.update(repr((image.entry_index, image.text_base, image.data_base,
-                   image.data_size)).encode())
-    h.update(repr(sorted(image.data_words.items())).encode())
+    h = hashlib.sha256(b"image:%d:" % image.instruction_count)
+    h.update(_text_encoding(image))
+    h.update(_pack(image.addresses))
+    h.update(_pack(image.sizes))
+    h.update(_pack(image.target_index))
+    h.update(_pack((image.entry_index, image.text_base, image.data_base,
+                    image.data_size)))
+    h.update(_image_words_digest(image))
     digest = h.hexdigest()
-    try:
-        image._cached_fingerprint = digest
-    except AttributeError:
-        pass
+    image._cached_fingerprint = digest
     return digest
 
 
@@ -177,7 +245,10 @@ def trace_key(image: ProgramImage,
     for pset in production_sets:
         h.update(production_set_fingerprint(pset).encode())
     h.update(repr(tuple(init_regs)).encode())
-    h.update(repr(sorted(init_memory.items())).encode())
+    if init_memory == image.data_words:
+        h.update(_image_words_digest(image))
+    else:
+        h.update(_words_digest(init_memory))
     h.update(dise_config_repr.encode())
     h.update(f"max_steps={max_steps}".encode())
     return h.hexdigest()

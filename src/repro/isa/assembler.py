@@ -25,13 +25,18 @@ import re
 from dataclasses import dataclass
 from typing import List, Union
 
+from repro.errors import ReproError
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Format, OpClass, Opcode, parse_opcode
 from repro.isa.registers import ZERO_REG, parse_reg
 
 
-class AssemblyError(ValueError):
-    """Raised on malformed assembly input, with line information."""
+class AssemblyError(ReproError, ValueError):
+    """Raised on malformed assembly input, with line information.
+
+    Part of the :mod:`repro.errors` taxonomy; keeps its ``ValueError``
+    base for existing ``except`` clauses.
+    """
 
     def __init__(self, message, lineno=None, line=None):
         location = f" (line {lineno}: {line!r})" if lineno is not None else ""

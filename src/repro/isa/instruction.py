@@ -25,7 +25,7 @@ and ``T.RD`` refer to (Section 2.1 of the paper).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.isa.opcodes import Format, OpClass, Opcode
@@ -184,7 +184,10 @@ class Instruction:
     # ------------------------------------------------------------------
     def with_fields(self, **changes) -> "Instruction":
         """Return a copy of this instruction with the given fields replaced."""
-        return replace(self, **changes)
+        fields = {"opcode": self.opcode, "ra": self.ra, "rb": self.rb,
+                  "rc": self.rc, "imm": self.imm, "target": self.target}
+        fields.update(changes)
+        return Instruction(**fields)
 
     # ------------------------------------------------------------------
     # Rendering

@@ -13,8 +13,9 @@ the symbolic item list or directly on finished images.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
+from repro.errors import ReproError
 from repro.isa.assembler import Label, assemble
 from repro.isa.instruction import INSTRUCTION_BYTES, Instruction
 from repro.isa.opcodes import Format, OpClass, Opcode
@@ -27,8 +28,23 @@ DEFAULT_TEXT_BASE = 0x0040_0000   # segment 0
 DEFAULT_DATA_BASE = 0x0400_0000   # segment 1
 
 
-class BuildError(ValueError):
-    """Raised when a program cannot be laid out (e.g. undefined label)."""
+class BuildError(ReproError, ValueError):
+    """Raised when a program cannot be laid out (e.g. undefined label).
+
+    Part of the :mod:`repro.errors` taxonomy; keeps its ``ValueError``
+    base for existing ``except`` clauses.
+    """
+
+
+#: Branch-format opcodes whose displacement names a text target when no
+#: symbolic target is given (``out``/``fault`` use the field as an operand,
+#: DISE branches move the DISEPC instead).  A tuple: ``in`` on enum members
+#: is an identity scan, cheaper than hashing them.
+_DISPLACEMENT_BRANCHES = tuple(
+    op for op in Opcode
+    if op.format is Format.BRANCH
+    and op not in (Opcode.OUT, Opcode.FAULT) and not op.is_dise_branch
+)
 
 
 @dataclass(frozen=True)
@@ -128,33 +144,28 @@ class ProgramBuilder:
     # ------------------------------------------------------------------
     def build(self) -> ProgramImage:
         """Lay out and resolve the program into an executable image."""
-        instructions: List[Instruction] = []
+        instructions: List[Optional[Instruction]] = []
         label_index: Dict[str, int] = {}
-        pending_loads: List[int] = []
+        pending_loads: List[Tuple[int, LoadAddress]] = []
 
         for item in self.items:
-            if isinstance(item, Label):
+            if isinstance(item, Instruction):
+                instructions.append(item)
+            elif isinstance(item, Label):
                 if item.name in label_index:
                     raise BuildError(f"label redefined: {item.name}")
                 label_index[item.name] = len(instructions)
             elif isinstance(item, LoadAddress):
-                pending_loads.append(len(instructions))
-                # Placeholders; immediates patched once addresses are known.
-                instructions.append(
-                    Instruction(Opcode.LDAH, ra=item.reg, rb=31, imm=0, target=item.symbol)
-                )
-                instructions.append(
-                    Instruction(Opcode.LDA, ra=item.reg, rb=item.reg, imm=0, target=item.symbol)
-                )
-            elif isinstance(item, Instruction):
-                instructions.append(item)
+                # An ldah/lda pair, filled in once addresses are known.
+                pending_loads.append((len(instructions), item))
+                instructions += (None, None)
             else:
                 raise BuildError(f"unknown builder item: {item!r}")
 
-        addresses = [
-            self.text_base + index * INSTRUCTION_BYTES
-            for index in range(len(instructions))
-        ]
+        count = len(instructions)
+        addresses = list(range(self.text_base,
+                               self.text_base + count * INSTRUCTION_BYTES,
+                               INSTRUCTION_BYTES))
 
         def symbol_addr(name):
             if name in label_index:
@@ -163,45 +174,43 @@ class ProgramBuilder:
                 return self.data_symbols[name]
             raise BuildError(f"undefined symbol: {name}")
 
-        # Patch load-address pairs; remember the text ones so rewriting
+        # Expand load-address pairs; remember the text ones so rewriting
         # tools can re-resolve them after moving code.
         load_addresses: Dict[int, str] = {}
-        for index in pending_loads:
-            symbol = instructions[index].target
-            high, low = split_address(symbol_addr(symbol))
-            instructions[index] = instructions[index].with_fields(imm=high, target=None)
-            instructions[index + 1] = instructions[index + 1].with_fields(
-                imm=low, target=None
-            )
-            if symbol in label_index:
-                load_addresses[index] = symbol
+        for index, load in pending_loads:
+            high, low = split_address(symbol_addr(load.symbol))
+            instructions[index] = Instruction(Opcode.LDAH, ra=load.reg,
+                                              rb=31, imm=high)
+            instructions[index + 1] = Instruction(Opcode.LDA, ra=load.reg,
+                                                  rb=load.reg, imm=low)
+            if load.symbol in label_index:
+                load_addresses[index] = load.symbol
 
         # Resolve branch targets.
-        target_index: List[Optional[int]] = [None] * len(instructions)
+        target_index: List[Optional[int]] = [None] * count
         for index, instr in enumerate(instructions):
-            if instr.target is None:
-                if (
-                    instr.format is Format.BRANCH
-                    and instr.imm is not None
-                    and instr.opcode not in (Opcode.OUT, Opcode.FAULT)
-                    and not instr.opcode.is_dise_branch
-                ):
-                    target_index[index] = index + 1 + instr.imm
+            target = instr.target
+            if target is None:
+                if instr.imm is not None and \
+                        instr.opcode in _DISPLACEMENT_BRANCHES:
+                    dest = index + 1 + instr.imm
+                    if not 0 <= dest <= count:
+                        raise BuildError(
+                            f"branch target out of image: index {dest}"
+                        )
+                    target_index[index] = dest
                 continue
-            if instr.format is not Format.BRANCH:
+            if instr.opcode.format is not Format.BRANCH:
                 raise BuildError(
                     f"symbolic target on non-branch instruction: {instr}"
                 )
-            if instr.target not in label_index:
-                raise BuildError(f"undefined branch target: {instr.target}")
-            dest = label_index[instr.target]
-            disp = dest - (index + 1)
-            instructions[index] = instr.with_fields(imm=disp, target=None)
+            dest = label_index.get(target)
+            if dest is None:
+                raise BuildError(f"undefined branch target: {target}")
+            instructions[index] = Instruction(instr.opcode, instr.ra,
+                                              instr.rb, instr.rc,
+                                              dest - (index + 1))
             target_index[index] = dest
-
-        for index in target_index:
-            if index is not None and not 0 <= index <= len(instructions):
-                raise BuildError(f"branch target out of image: index {index}")
 
         entry_label = self._entry_label
         if entry_label is None:
@@ -214,7 +223,7 @@ class ProgramBuilder:
         return ProgramImage(
             instructions=instructions,
             addresses=addresses,
-            sizes=[INSTRUCTION_BYTES] * len(instructions),
+            sizes=[INSTRUCTION_BYTES] * count,
             target_index=target_index,
             symbols=dict(label_index),
             entry_index=entry_index,

@@ -15,7 +15,7 @@ measures.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Union
+from typing import Callable, Dict, Iterable, List, Union
 
 from repro.core.directives import AbsTarget, Lit, TrigField
 from repro.errors import RewriteError
@@ -30,37 +30,48 @@ from repro.program.image import ProgramImage
 InsertionFn = Callable[[Instruction, int], Iterable[Union[Label, Instruction]]]
 
 
+def label_names(image: ProgramImage) -> Dict[int, str]:
+    """Instruction index -> the one label a rebuild places there.
+
+    The first symbol naming an index wins (aliases are dropped); every
+    anonymous direct-branch target gets a synthesised ``.bt<N>`` label.
+    """
+    names: Dict[int, str] = {}
+    for name, index in image.symbols.items():
+        names.setdefault(index, name)
+    for target in image.target_index:
+        if target is not None and target not in names:
+            names[target] = f".bt{target}"
+    return names
+
+
 def image_to_items(image: ProgramImage) -> List[BuilderItem]:
     """Convert an image back to symbolic builder items.
 
     Every direct-branch target becomes a label; existing symbols are
     preserved.  The result rebuilds to an equivalent image.
     """
-    names = {}
-    for name, index in image.symbols.items():
-        names.setdefault(index, name)
-    # Synthesise labels for anonymous branch targets.
-    for index, target in enumerate(image.target_index):
-        if target is not None and target not in names:
-            names[target] = f".bt{target}"
+    names = label_names(image)
 
     items: List[BuilderItem] = []
+    load_addresses = image.load_addresses
     skip_next = False
-    for index, instr in enumerate(image.instructions):
+    for index, (instr, target) in enumerate(zip(image.instructions,
+                                                image.target_index)):
         if index in names:
             items.append(Label(names[index]))
         if skip_next:
             skip_next = False
             continue
-        if index in image.load_addresses:
+        if index in load_addresses:
             # Reconstruct the pseudo-instruction so the rebuilt image
             # re-resolves the (possibly moved) text symbol.
-            items.append(LoadAddress(instr.ra, image.load_addresses[index]))
+            items.append(LoadAddress(instr.ra, load_addresses[index]))
             skip_next = True
             continue
-        target = image.target_index[index]
-        if target is not None and instr.format is Format.BRANCH:
-            items.append(instr.with_fields(imm=None, target=names[target]))
+        if target is not None and instr.opcode.format is Format.BRANCH:
+            items.append(Instruction(instr.opcode, instr.ra, instr.rb,
+                                     instr.rc, None, names[target]))
         else:
             items.append(instr)
     # A label may sit one past the last instruction (e.g. loop exit).
@@ -170,12 +181,7 @@ def rewrite_with_productions(image: ProgramImage, production_set,
     engine = DiseEngine()
     engine.set_production_set(production_set)
 
-    names = {}
-    for name, index in image.symbols.items():
-        names.setdefault(index, name)
-    for index, target in enumerate(image.target_index):
-        if target is not None and target not in names:
-            names[target] = f".bt{target}"
+    names = label_names(image)
 
     # Pass 1: decide expansions and register labels for AbsTarget
     # addresses, so forward references resolve during emission.

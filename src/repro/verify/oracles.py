@@ -480,16 +480,14 @@ def oracle_batch_cohort(benchmark: str, scale: float,
                         max_steps: int = _DEFAULT_MAX_STEPS,
                         **_kwargs) -> OracleOutcome:
     from repro.acf.base import AcfInstallation
-    from repro.acf.mfi import attach_mfi, ensure_error_stub
+    from repro.acf.mfi import attach_mfi
     from repro.sim.batch import BatchMachine
     from repro.workloads import get_profile
     from repro.workloads.generator import reseed_data
 
-    image = _generate(benchmark, scale)
-    # Pre-stub so attach_mfi shares this exact image (and therefore the
-    # translation and compiled-block stores) instead of copying it.
-    ensure_error_stub(image)
-    inst = attach_mfi(image, variant=variant)
+    # Every reseeded lane shares ``inst.image``'s text and, through
+    # ``reseed_data``, its translation and compiled-block stores.
+    inst = attach_mfi(_generate(benchmark, scale), variant=variant)
     profile = get_profile(benchmark)
     seeds = (None, 1, 2, 3)
 

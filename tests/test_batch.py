@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.acf.base import AcfInstallation
-from repro.acf.mfi import attach_mfi, ensure_error_stub
+from repro.acf.mfi import attach_mfi
 from repro.errors import ExecutionTimeout
 from repro.faults.campaign import (
     CampaignConfig,
@@ -34,9 +34,8 @@ MAX_STEPS = 5_000_000
 
 
 def _installation(name, scale=SCALE):
-    image = generate_benchmark(get_profile(name), scale=scale)
-    ensure_error_stub(image)
-    return attach_mfi(image, "dise3")
+    return attach_mfi(generate_benchmark(get_profile(name), scale=scale),
+                      "dise3")
 
 
 def _machine(installation, record=False, observe=False):

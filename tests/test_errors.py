@@ -126,6 +126,14 @@ class TestSimulatorRaises:
             assert issubclass(cls, AcfError)
             assert issubclass(cls, ValueError)    # the deprecation shim
 
+    def test_build_and_assembly_errors_are_repro_errors(self):
+        from repro.isa.assembler import AssemblyError
+        from repro.program.builder import BuildError
+
+        for cls in (BuildError, AssemblyError):
+            assert issubclass(cls, ReproError)
+            assert issubclass(cls, ValueError)    # the legacy base
+
     def test_acf_config_errors_replace_bare_value_error(self):
         from repro.acf.composition import build_composition
         from repro.workloads.generator import generate_by_name

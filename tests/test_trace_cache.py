@@ -1,10 +1,19 @@
 """Persistent trace cache: keys, serialization round-trips, store/load."""
 
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
-from repro.acf.base import plain_installation
+from conftest import build_loop_program
+from repro.acf.base import AcfInstallation, plain_installation
 from repro.acf.mfi import attach_mfi
 from repro.core.config import DiseConfig
+from repro.isa.instruction import Instruction
+from repro.isa.opcodes import Opcode
 from repro.harness.trace_cache import (
     SCHEMA_VERSION,
     LazyTrace,
@@ -155,6 +164,96 @@ class TestKeys:
         assert trace_fingerprint(trace) == "explicit-digest"
         trace.cache_key = None
         trace._fingerprint = None
+
+
+def _with_instruction(image, instr, index=1):
+    """A copy of ``image`` whose instruction ``index`` is ``instr``."""
+    instructions = list(image.instructions)
+    instructions[index] = instr
+    return replace(image, instructions=instructions)
+
+
+class TestImageFingerprint:
+    """The packed-column image digest: injective, content-derived, and the
+    same in every process."""
+
+    BASE = Instruction(Opcode.BIS, ra=1, rb=2, rc=3, imm=4)
+
+    def _digest(self, instr=None, **changes):
+        image = build_loop_program()
+        if instr is not None:
+            image = _with_instruction(image, instr)
+        return image_fingerprint(replace(image, **changes))
+
+    @pytest.mark.parametrize("field", ["ra", "rb", "rc", "imm"])
+    def test_none_differs_from_zero(self, field):
+        assert self._digest(self.BASE.with_fields(**{field: None})) != \
+            self._digest(self.BASE.with_fields(**{field: 0}))
+
+    def test_target_index_none_differs_from_zero(self):
+        image = build_loop_program()
+        index = image.target_index.index(None)
+        as_zero = list(image.target_index)
+        as_zero[index] = 0
+        assert self._digest() != self._digest(target_index=as_zero)
+
+    def test_negative_and_out_of_range_immediates(self):
+        digests = {self._digest(self.BASE.with_fields(imm=imm))
+                   for imm in (1, -1, (1 << 64) - 1, None, -(1 << 63))}
+        assert len(digests) == 5
+
+    def test_wide_data_value(self):
+        image = build_loop_program()
+        address = next(iter(image.data_words))
+
+        def with_value(value):
+            words = dict(image.data_words)
+            words[address] = value
+            return image_fingerprint(replace(image, data_words=words))
+
+        digests = {with_value(value)
+                   for value in (0, 1 << 63, -(1 << 63), (1 << 64) - 1, -1)}
+        assert len(digests) == 5
+
+    def test_symbolic_target(self):
+        branch = Instruction(Opcode.BR, ra=31, imm=0)
+        digests = {self._digest(branch.with_fields(target=target))
+                   for target in (None, "loop", "main")}
+        assert len(digests) == 3
+
+    def test_equal_images_share_a_digest(self):
+        first, second = build_loop_program(), build_loop_program()
+        assert first is not second
+        assert image_fingerprint(first) == image_fingerprint(second)
+
+    def test_digest_is_stable_across_processes(self, image):
+        code = ("from repro.harness.trace_cache import image_fingerprint\n"
+                "from repro.workloads.generator import generate_benchmark\n"
+                "from repro.workloads.specint import get_profile\n"
+                "print(image_fingerprint(generate_benchmark("
+                "get_profile('mcf'), scale=0.2)))\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONHASHSEED="4321",
+                   PYTHONPATH=os.pathsep.join(
+                       [str(src), os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == image_fingerprint(image)
+
+    def test_init_memory_writes_change_the_key(self, image):
+        address = image.data_base + 8
+
+        def seed_memory(machine):
+            machine.mem.write(address, machine.mem.read(address) + 1)
+
+        plain = plain_installation(image)
+        seeded = AcfInstallation(image=image, init_machine=seed_memory)
+        key_plain = machine_trace_key(plain, plain.make_machine(FUNCTIONAL),
+                                      repr(FUNCTIONAL), MAX_STEPS)
+        key_seeded = machine_trace_key(seeded,
+                                       seeded.make_machine(FUNCTIONAL),
+                                       repr(FUNCTIONAL), MAX_STEPS)
+        assert key_plain != key_seeded
 
 
 class TestTraceCacheStore:
