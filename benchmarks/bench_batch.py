@@ -35,7 +35,7 @@ import time
 from pathlib import Path
 
 from repro.acf.mfi import attach_mfi
-from repro.harness.parallel import FUNCTIONAL_DISE, MAX_STEPS
+from repro.harness.runner import FUNCTIONAL_DISE, MAX_STEPS
 from repro.sim.batch import BatchMachine
 from repro.verify.observe import Observer
 from repro.workloads import BENCHMARK_NAMES

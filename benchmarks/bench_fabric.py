@@ -4,9 +4,9 @@ Answers the two questions the fabric PR has to stay honest about:
 
 * **overhead** — scheduling the warm figure sweep through the fabric
   (content-addressed task keys, duplicate coalescing, checkpoint ticks)
-  versus calling the parallel harness's per-task work function in a bare
-  loop.  Both sides run the *identical* warm-cache work; the delta is
-  pure fabric machinery.  Soft budget: <= 5%.
+  versus calling the figure-row recipe in a bare loop.  Both sides run
+  the *identical* warm-cache work; the delta is pure fabric machinery.
+  Soft budget: <= 5%.
 * **dedupe** — the cross-campaign artifact store: a faults + verify
   back-to-back pair rerun against a warm store must serve every cell
   from the store (hit rate 1.0) and produce byte-identical reports.
@@ -31,19 +31,19 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.fabric import ArtifactStore, Fabric, Task, register_recipe
+from repro.fabric import ArtifactStore, Fabric, Task
 from repro.faults.campaign import CampaignConfig, run_campaign
-from repro.harness.parallel import MAX_STEPS, TraceTask, _run_task
-from repro.sim.config import MachineConfig
+from repro.harness.experiments import ROW_RECIPE, row_task
+from repro.sim.cycle import resolve_cycle_engine
 from repro.telemetry.registry import enabled_scope, get_registry, snapshot
 from repro.verify.campaign import VerifyConfig, run_verification
 
 _BENCH_DIR = Path(__file__).parent
 
-#: The figure-sweep shape used for the overhead measurement: every
-#: benchmark x {plain, mfi, rewrite}, one default timing replay each.
+#: The figure sweep used for the overhead measurement: the three Figure 6
+#: rows of every benchmark.
 _BENCHES = ("bzip2", "gzip", "mcf", "parser")
-_KINDS = (("plain", None), ("mfi", "dise3"), ("rewrite", None))
+_FIGURES = ("fig6_top", "fig6_cache", "fig6_width")
 
 _FAULTS = CampaignConfig(seed=7, faults=8, benchmarks=("gzip",), scale=0.03)
 _VERIFY = VerifyConfig(benchmarks=("gzip",), scale=0.02,
@@ -51,36 +51,24 @@ _VERIFY = VerifyConfig(benchmarks=("gzip",), scale=0.02,
 
 
 # ----------------------------------------------------------------------
-# The overhead recipe: one warm figure-sweep cell
+# The overhead sweep: warm figure rows
 # ----------------------------------------------------------------------
-def _sweep_cell(params):
-    task = TraceTask(bench=params["bench"], scale=params["scale"],
-                     kind=params["kind"], variant=params["variant"])
-    digest, _, _, _ = _run_task(task, [MachineConfig()],
-                                params["cache_root"], MAX_STEPS)
-    return digest
-
-
-register_recipe(f"{__name__}:sweep_cell", _sweep_cell)
-
-
 def _sweep_params(scale, cache_root):
     return [
-        {"bench": bench, "kind": kind, "variant": variant,
-         "scale": scale, "cache_root": cache_root}
-        for bench in _BENCHES for kind, variant in _KINDS
+        {"experiment": figure, "bench": bench, "scale": scale,
+         "cache": cache_root, "cycle_engine": resolve_cycle_engine()}
+        for figure in _FIGURES for bench in _BENCHES
     ]
 
 
 def run_overhead_benchmark(scale=0.05, repeats=3):
-    """Time the warm sweep: bare ``_run_task`` loop vs ``Fabric.run``."""
+    """Time the warm sweep: bare ``row_task`` loop vs ``Fabric.run``."""
     with tempfile.TemporaryDirectory(prefix="repro-bench-fabric-") as root:
         cells = _sweep_params(scale, root)
-        tasks = [Task(recipe=f"{__name__}:sweep_cell", params=params)
-                 for params in cells]
+        tasks = [Task(recipe=ROW_RECIPE, params=params) for params in cells]
 
         def direct():
-            return [_sweep_cell(params) for params in cells]
+            return [row_task(params) for params in cells]
 
         def fabric():
             engine = Fabric("bench", {"bench": "fabric"}, store=None,
@@ -91,13 +79,13 @@ def run_overhead_benchmark(scale=0.05, repeats=3):
         baseline = direct()     # warm the trace cache; untimed
         direct_seconds = []
         fabric_seconds = []
-        fabric_digests = None
+        fabric_rows = None
         for _ in range(repeats):
             t0 = time.perf_counter()
             direct()
             direct_seconds.append(time.perf_counter() - t0)
             t0 = time.perf_counter()
-            fabric_digests = fabric()
+            fabric_rows = fabric()
             fabric_seconds.append(time.perf_counter() - t0)
 
     direct_best = min(direct_seconds)
@@ -109,7 +97,7 @@ def run_overhead_benchmark(scale=0.05, repeats=3):
         "direct_seconds": round(direct_best, 4),
         "fabric_seconds": round(fabric_best, 4),
         "overhead_ratio": round(fabric_best / direct_best - 1.0, 4),
-    }, baseline == fabric_digests
+    }, baseline == fabric_rows
 
 
 # ----------------------------------------------------------------------
@@ -191,7 +179,7 @@ def test_fabric_overhead_on_warm_sweep():
         scale=float(os.environ.get("REPRO_SCALE", "0.05"))
     )
     _merge_payload("overhead", overhead)
-    assert identical, "fabric sweep produced different digests"
+    assert identical, "fabric sweep produced different rows"
     if os.environ.get("REPRO_BENCH_STRICT") == "1":
         assert overhead["overhead_ratio"] <= 0.05, overhead
 

@@ -1,4 +1,4 @@
-"""Micro-benchmark for the parallel figure harness and trace cache.
+"""Micro-benchmark for parallel figure regeneration and the trace cache.
 
 Measures three full Figure 6 regenerations (top + cache sweep + width
 sweep) and checks they render identical tables:
@@ -82,13 +82,6 @@ def run_harness_benchmark(jobs=4, scale=1.0, benchmarks=None):
     tracing_overhead = run_tracing_benchmark(
         scale=min(scale, 0.1), repeats=2
     )["timings"]
-    # Functional-dispatch summary (see bench_sim.py for the full
-    # per-profile payload in BENCH_sim.json).
-    from bench_sim import run_sim_benchmark
-    sim_dispatch = run_sim_benchmark(
-        scale=min(scale, 0.1), repeats=2,
-        benchmarks=benchmarks or ("bzip2", "mcf", "parser"),
-    )["summary"]
     payload = {
         "meta": {
             "jobs": jobs,
@@ -110,7 +103,6 @@ def run_harness_benchmark(jobs=4, scale=1.0, benchmarks=None):
         "tables_identical": identical,
         "telemetry_overhead": telemetry_overhead,
         "tracing_overhead": tracing_overhead,
-        "sim_dispatch": sim_dispatch,
     }
     return payload, tables
 

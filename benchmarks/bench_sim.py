@@ -33,7 +33,7 @@ import time
 from pathlib import Path
 
 from repro.acf.mfi import attach_mfi
-from repro.harness.parallel import FUNCTIONAL_DISE, MAX_STEPS
+from repro.harness.runner import FUNCTIONAL_DISE, MAX_STEPS
 from repro.workloads import BENCHMARK_NAMES
 from repro.workloads.generator import generate_benchmark
 from repro.workloads.specint import get_profile

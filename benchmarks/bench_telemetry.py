@@ -35,7 +35,7 @@ import time
 from pathlib import Path
 
 from repro.acf.mfi import attach_mfi
-from repro.harness.parallel import FUNCTIONAL_DISE, MAX_STEPS
+from repro.harness.runner import FUNCTIONAL_DISE, MAX_STEPS
 from repro.sim.config import MachineConfig
 from repro.sim.cycle import simulate_trace
 from repro.telemetry import profile as _profile

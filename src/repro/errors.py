@@ -8,7 +8,7 @@ subclasses, which made two things impossible:
   an outcome — "the model detected a stray codeword" and "the harness hit a
   corrupt cache entry" both surfaced as ``RuntimeError`` with only message
   text to distinguish them;
-* the parallel harness could not choose a *retry policy* — a crashed worker
+* the worker pool could not choose a *retry policy* — a crashed worker
   is worth retrying, a deterministic model error is not.
 
 Every error the repo raises on purpose now derives from :class:`ReproError`
@@ -33,7 +33,7 @@ from typing import Optional
 class ReproError(Exception):
     """Base of the structured error hierarchy.
 
-    ``retryable`` drives the parallel harness's retry policy: transient
+    ``retryable`` drives the execution fabric's retry policy: transient
     infrastructure failures (crashed or hung workers) are retried with
     backoff, deterministic model/configuration errors are not.
     """
@@ -120,7 +120,7 @@ class HarnessError(ReproError):
 
 
 class TaskError(HarnessError):
-    """A (benchmark, transform) harness task failed.
+    """A fabric task failed.
 
     ``task`` is the repr of the failing unit; ``attempts`` counts tries
     including the failing one.

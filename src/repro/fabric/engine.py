@@ -23,7 +23,10 @@ report":
    (``fabric.degradations``) so campaigns always complete.  Non-retryable
    errors fail fast; exhausted watchdogs raise *after* checkpointing, so
    nothing already computed is lost.
-5. **Checkpoint ticks** — every ``checkpoint_every`` fresh results, and
+5. **Task records** — every task that runs (or is served from the store)
+   emits one ``task`` event: task id, wall seconds, attempts and status
+   (``ok``, ``cached``, ``fallback``, ``timeout``, ``failed``).
+6. **Checkpoint ticks** — every ``checkpoint_every`` fresh results, and
    on *any* exception (including a driver's deliberate interruption from
    its progress callback), the checkpoint is written before the error
    propagates.
@@ -57,6 +60,10 @@ from repro.telemetry import registry as _telemetry
 from repro.telemetry import tracing as _tracing
 
 logger = get_logger(__name__)
+
+#: Pool verdict -> ``task`` event status (``gave_up`` tasks are recorded
+#: by their serial fallback instead).
+_RECORDED = {"ok": "ok", "timeout": "timeout", "fatal": "failed"}
 
 
 def resolve_fabric_timeout(task_timeout: Optional[float] = None
@@ -100,7 +107,7 @@ class Fabric:
     ``driver`` and ``fingerprint`` identify the run for checkpoint
     matching; every other knob resolves explicit argument > environment >
     default (see the ``resolve_fabric_*`` helpers and
-    :func:`~repro.harness.parallel.resolve_jobs`).
+    :func:`~repro.fabric.supervise.resolve_jobs`).
     """
 
     def __init__(self, driver: str, fingerprint: Dict[str, object], *,
@@ -204,9 +211,13 @@ class Fabric:
                 if self.store is not None and pending:
                     remaining = []
                     for task in pending:
+                        t0 = time.monotonic()
                         hit = self.store.get(task.key)
                         if hit is not None:
                             _telemetry.counter("fabric.dedupe.hits").inc()
+                            _events.emit_task(task.task_id,
+                                              time.monotonic() - t0, 1,
+                                              "cached")
                             finish(task, hit, computed=False)
                         else:
                             _telemetry.counter("fabric.dedupe.misses").inc()
@@ -239,14 +250,13 @@ class Fabric:
             return lambda attempt: (
                 execute_task,
                 (task.recipe, task.params, task.task_id, attempt, chaos,
-                 trace),
+                 trace, True),
             )
 
         supervisor = PoolSupervisor(
             self.jobs, task_timeout=self.task_timeout,
             retries=self.retries, backoff_base=self.backoff,
             executor_factory=self.executor_factory,
-            counter_prefix="fabric",
             circuit_threshold=self.circuit_threshold, sleep=self.sleep,
         )
         outcomes = supervisor.run(
@@ -260,6 +270,9 @@ class Fabric:
         for task in pending:
             outcome = outcomes.get(task.task_id)
             status = outcome.status if outcome is not None else "gave_up"
+            if status in _RECORDED:
+                _events.emit_task(task.task_id, outcome.elapsed,
+                                  outcome.attempts, _RECORDED[status])
             if status != "ok":
                 # The worker died/hung before returning its span buffer:
                 # record the loss as a truncated span (span_begin, no
@@ -294,23 +307,29 @@ class Fabric:
                 "fabric: pool gave up on %d task(s); completing them "
                 "serially in the parent", len(gave_up),
             )
-            self._run_serial(gave_up, finish, batch=1)
+            self._run_serial(gave_up, finish, batch=1, status="fallback")
 
     # ------------------------------------------------------------------
     # Serial (and batched-serial) execution
     # ------------------------------------------------------------------
-    def _execute_with_retries(self, task: Task):
+    def _execute_with_retries(self, task: Task, status: str = "ok"):
         attempt = 1
+        t0 = time.monotonic()
         while True:
             try:
                 # In-parent execution: the event log is local, so the task
                 # span is opened directly (no envelope round-trip).
                 with _events.span("fabric.task", task=task.task_id,
                                   attempt=attempt):
-                    return execute_task(task.recipe, task.params,
-                                        task.task_id, attempt, self.chaos)
+                    result = execute_task(task.recipe, task.params,
+                                          task.task_id, attempt, self.chaos)
+                _events.emit_task(task.task_id, time.monotonic() - t0,
+                                  attempt, status)
+                return result
             except Exception as exc:
                 if not is_retryable(exc) or attempt > self.retries:
+                    _events.emit_task(task.task_id, time.monotonic() - t0,
+                                      attempt, "failed")
                     raise
                 _telemetry.counter("fabric.retries").inc()
                 _events.event("task_retry", task=task.task_id,
@@ -326,23 +345,27 @@ class Fabric:
                 attempt += 1
 
     def _run_serial(self, pending: List[Task], finish,
-                    batch: Optional[int] = None):
+                    batch: Optional[int] = None, status: str = "ok"):
         width = resolve_batch(batch)
         index = 0
         while index < len(pending):
             task = pending[index]
             batch_fn = get_recipe(task.recipe)[1] if width >= 2 else None
             if batch_fn is None:
-                finish(task, self._execute_with_retries(task), True)
+                finish(task, self._execute_with_retries(task, status), True)
                 index += 1
                 continue
             wave = [task]
             while (len(wave) < width and index + len(wave) < len(pending)
                    and pending[index + len(wave)].recipe == task.recipe):
                 wave.append(pending[index + len(wave)])
+            t0 = time.monotonic()
             with _events.span("fabric.batch", recipe=task.recipe,
                               tasks=len(wave)):
                 wave_results = batch_fn([t.params for t in wave])
+            # A wave's wall time is split evenly across its tasks.
+            share = (time.monotonic() - t0) / len(wave)
             for wave_task, result in zip(wave, wave_results):
+                _events.emit_task(wave_task.task_id, share, 1, status)
                 finish(wave_task, result, True)
             index += len(wave)

@@ -1,9 +1,8 @@
 """Worker-pool supervision: heartbeats, watchdogs, retries, circuit breaking.
 
-:class:`PoolSupervisor` is the generic half of what used to be the pool
-loop inside :func:`repro.harness.parallel.run_tasks`: it owns a process
-pool, watches every in-flight future against a per-task watchdog deadline,
-retries failures with deterministic exponential backoff
+:class:`PoolSupervisor` is the pool half of :class:`repro.fabric.Fabric`:
+it owns a process pool, watches every in-flight future against a per-task
+watchdog deadline, retries failures with deterministic exponential backoff
 (:func:`repro.errors.backoff_delay`), and classifies each task's fate so
 the *caller* decides what degradation means:
 
@@ -18,7 +17,7 @@ the *caller* decides what degradation means:
     Worker crashes exhausted the retry budget, or the pool's circuit
     breaker opened (repeated worker deaths / a broken executor).  The
     task is *safe to re-run serially in the parent* — that is exactly
-    what both the figure harness and the fabric engine do.
+    what the fabric engine does.
 ``timeout``
     The task kept exceeding the watchdog.  **Not** safe to re-run in the
     parent: a hanging task would hang the parent and defeat the watchdog.
@@ -172,10 +171,8 @@ class PoolSupervisor:
     ``spec(attempt) -> (fn, args)`` where ``fn`` is a picklable top-level
     callable.  The attempt number is passed through so callers can thread
     it into the worker (the chaos harness keys injections on it).
-
-    ``counter_prefix`` names the telemetry family (``harness`` for the
-    figure harness, ``fabric`` for the engine) so existing counter names
-    stay stable.
+    Task keys double as log and event labels; retries, timeouts and
+    utilization count under ``fabric.*``.
     """
 
     def __init__(self, jobs: int, *,
@@ -183,8 +180,6 @@ class PoolSupervisor:
                  retries: int = 1,
                  backoff_base: float = 0.5,
                  executor_factory: Optional[Callable] = None,
-                 label_of: Callable[[object], str] = str,
-                 counter_prefix: str = "fabric",
                  circuit_threshold: int = 3,
                  sleep: Callable[[float], None] = time.sleep):
         self.jobs = max(1, int(jobs))
@@ -193,8 +188,6 @@ class PoolSupervisor:
         self.backoff_base = backoff_base
         self.executor_factory = executor_factory or (
             lambda: ProcessPoolExecutor(max_workers=self.jobs))
-        self.label_of = label_of
-        self.prefix = counter_prefix
         self.circuit_threshold = max(1, int(circuit_threshold))
         self.sleep = sleep
 
@@ -271,38 +264,38 @@ class PoolSupervisor:
                                     ) from exc
                             if not is_retryable(exc):
                                 _events.event(
-                                    "task_fatal", task=self.label_of(key),
+                                    "task_fatal", task=key,
                                     error=type(exc).__name__)
                                 logger.warning(
                                     "task %s failed with non-retryable %s: "
                                     "%s; failing fast (no retries)",
-                                    self.label_of(key), type(exc).__name__,
+                                    key, type(exc).__name__,
                                     exc,
                                 )
                                 settle(key, "fatal", attempt, error=exc)
                                 continue
                             if attempt <= self.retries:
                                 _telemetry.counter(
-                                    f"{self.prefix}.retries").inc()
+                                    "fabric.retries").inc()
                                 _events.event(
-                                    "task_retry", task=self.label_of(key),
+                                    "task_retry", task=key,
                                     attempt=attempt + 1,
                                     error=type(exc).__name__)
                                 logger.warning(
                                     "worker for %s failed (%s: %s); "
                                     "retrying (attempt %d of %d)",
-                                    self.label_of(key), type(exc).__name__,
+                                    key, type(exc).__name__,
                                     exc, attempt + 1, self.retries + 1,
                                 )
                                 self.sleep(backoff_delay(
                                     attempt, base=self.backoff_base,
-                                    key=self.label_of(key)))
+                                    key=key))
                                 submit(key, attempt + 1)
                             else:
                                 logger.warning(
                                     "worker for %s failed (%s: %s); "
                                     "falling back to serial execution",
-                                    self.label_of(key), type(exc).__name__,
+                                    key, type(exc).__name__,
                                     exc,
                                 )
                                 settle(key, "gave_up", attempt, error=exc)
@@ -323,17 +316,17 @@ class PoolSupervisor:
                         future.cancel()
                         key, attempt = flight.key, flight.attempt
                         _telemetry.counter(
-                            f"{self.prefix}.timeouts").inc()
+                            "fabric.timeouts").inc()
                         if attempt <= self.retries:
                             _telemetry.counter(
-                                f"{self.prefix}.retries").inc()
+                                "fabric.retries").inc()
                             _events.event(
-                                "task_retry", task=self.label_of(key),
+                                "task_retry", task=key,
                                 attempt=attempt + 1, error="timeout")
                             logger.warning(
                                 "task %s exceeded its %.3gs watchdog; "
                                 "retrying (attempt %d of %d)",
-                                self.label_of(key), self.task_timeout,
+                                key, self.task_timeout,
                                 attempt + 1, self.retries + 1,
                             )
                             submit(key, attempt + 1)
@@ -343,7 +336,7 @@ class PoolSupervisor:
                             logger.warning(
                                 "task %s exceeded its %.3gs watchdog "
                                 "after %d attempts; skipping it",
-                                self.label_of(key), self.task_timeout,
+                                key, self.task_timeout,
                                 attempt,
                             )
                 if hung:
@@ -354,7 +347,7 @@ class PoolSupervisor:
             # The pool itself broke (circuit opened, fork failure,
             # submission into a dead pool): everything unresolved degrades
             # to the caller's serial path rather than losing the run.
-            _telemetry.counter(f"{self.prefix}.circuit_open").inc()
+            _telemetry.counter("fabric.circuit_open").inc()
             logger.warning(
                 "process pool failed (%s: %s); completing serially",
                 type(exc).__name__, exc,
@@ -366,7 +359,7 @@ class PoolSupervisor:
 
         wall = time.monotonic() - pool_t0
         if wall > 0 and busy_seconds > 0:
-            _telemetry.gauge(f"{self.prefix}.worker_utilization").set(
+            _telemetry.gauge("fabric.worker_utilization").set(
                 round(min(1.0, busy_seconds / (wall * self.jobs)), 4)
             )
         return outcomes

@@ -4,8 +4,8 @@ A fabric task is a *recipe reference*: the dotted name of a registered,
 deterministic function plus a JSON-canonical parameter dict.  Nothing
 heavyweight crosses a process boundary — workers re-import the recipe's
 module (which re-registers the recipe) and rebuild whatever state the
-parameters describe, the same trick :class:`repro.harness.parallel
-.TraceTask` uses for figure tasks.
+parameters describe — a figure row, for instance, is just the experiment
+name, benchmark, scale, cache root and cycle engine.
 
 Because the recipe name and parameters *completely determine* the result,
 the pair also serves as the task's identity: :func:`task_key` digests them
@@ -140,7 +140,8 @@ def get_recipe(name: str) -> Tuple[Callable, Optional[Callable]]:
 
 
 def execute_task(recipe_name: str, params: dict, task_id: str = "",
-                 attempt: int = 1, chaos=None, trace=None):
+                 attempt: int = 1, chaos=None, trace=None,
+                 remote: bool = False):
     """Top-level (picklable) worker entry point: run one task.
 
     ``chaos`` is an optional :class:`repro.fabric.chaos.ChaosPlan`; its
@@ -156,6 +157,11 @@ def execute_task(recipe_name: str, params: dict, task_id: str = "",
     the result reaches any store, checkpoint, or report — persisted bytes
     are identical with tracing on or off.  A worker that dies mid-task
     never returns the envelope; the parent synthesizes a truncated span.
+
+    ``remote`` marks execution in a pool worker: with telemetry enabled
+    but tracing off, the result still travels in an envelope (with no
+    spans) so the worker's registry delta reaches the parent, and parallel
+    runs aggregate the same metrics as serial ones.
     """
     if trace is not None and _tracing.enabled():
         with _tracing.remote_session(trace) as session:
@@ -175,4 +181,10 @@ def execute_task(recipe_name: str, params: dict, task_id: str = "",
     if chaos is not None:
         chaos.perturb(task_id, attempt)
     fn, _ = get_recipe(recipe_name)
-    return fn(params)
+    if not (remote and _tm_registry.enabled()):
+        return fn(params)
+    before = _tm_registry.snapshot()
+    result = fn(params)
+    return _tracing.wrap_result(
+        result, None,
+        _tm_registry.snapshot_delta(before, _tm_registry.snapshot()))

@@ -17,14 +17,7 @@ from repro.harness.experiments import (
     fig8_perf,
     fig8_rt,
     run_experiment,
-)
-from repro.harness.checkpoint import RunCheckpoint
-from repro.harness.parallel import (
-    TaskFailure,
-    TaskResults,
-    TraceTask,
-    resolve_jobs,
-    run_tasks,
+    run_rows,
 )
 from repro.harness.report import (
     PAPER_CLAIMS,
@@ -60,18 +53,13 @@ __all__ = [
     "fig8_perf",
     "fig8_rt",
     "run_experiment",
+    "run_rows",
     "PAPER_CLAIMS",
     "build_report",
     "report_fingerprint",
     "table_to_markdown",
-    "RunCheckpoint",
     "Suite",
     "ResultTable",
-    "TaskFailure",
-    "TaskResults",
-    "TraceTask",
-    "resolve_jobs",
-    "run_tasks",
     "LazyTrace",
     "TraceCache",
     "open_cache",

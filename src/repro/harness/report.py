@@ -7,8 +7,9 @@ document — the machinery behind regenerating EXPERIMENTS.md's raw data.
 from __future__ import annotations
 
 import json
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
+from repro.fabric.checkpoint import write_checkpoint
 from repro.harness.config import render_config_table
 from repro.harness.experiments import ALL_EXPERIMENTS
 from repro.harness.runner import Suite
@@ -81,27 +82,37 @@ def report_fingerprint(suite: Suite,
     }
 
 
+#: Fabric-checkpoint driver name of report runs.
+CHECKPOINT_DRIVER = "report"
+
+
 def build_report(suite: Optional[Suite] = None,
                  experiments: Optional[Sequence[str]] = None,
                  title="DISE reproduction — measured results",
-                 checkpoint=None) -> str:
+                 checkpoint: Optional[str] = None,
+                 completed: Optional[Dict[str, str]] = None) -> str:
     """Run experiments and render one markdown report.
 
-    With a :class:`~repro.harness.checkpoint.RunCheckpoint`, each finished
-    experiment section is persisted immediately and already-checkpointed
-    sections are replayed instead of recomputed — an interrupted report run
-    resumes where it died.
+    ``completed`` maps experiment names to already-rendered sections (what
+    :func:`~repro.fabric.checkpoint.load_checkpoint` restores for driver
+    :data:`CHECKPOINT_DRIVER`); those are replayed instead of recomputed.
+    With a ``checkpoint`` path, the section table is written there through
+    :func:`~repro.fabric.checkpoint.write_checkpoint` after every
+    experiment — an interrupted report run resumes where it died.
     """
     suite = suite or Suite()
     names = list(experiments or ALL_EXPERIMENTS)
+    fingerprint = report_fingerprint(suite, names)
+    sections = dict(completed or {})
     parts = [f"# {title}", "", "```", render_config_table(), "```", ""]
     for name in names:
-        section = checkpoint.completed(name) if checkpoint else None
+        section = sections.get(name)
         if section is None:
             with _events.span("experiment", experiment=name):
-                section = _render_section(name, suite)
-            if checkpoint is not None:
-                checkpoint.record(name, section)
+                section = sections[name] = _render_section(name, suite)
+            if checkpoint:
+                write_checkpoint(checkpoint, CHECKPOINT_DRIVER, fingerprint,
+                                 sections)
         parts.append(section)
     if _telemetry.enabled():
         parts.append(render_telemetry_section())

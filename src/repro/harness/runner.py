@@ -6,20 +6,16 @@ functional traces of each (benchmark, transformation) pair.  Timing replays
 the cached traces, which is what makes regenerating all of Figures 6-8
 tractable.
 
-Two accelerators sit underneath (see :mod:`repro.harness.parallel` and
-:mod:`repro.harness.trace_cache`):
-
-* :meth:`Suite.prefetch` runs a figure's functional simulations — and the
-  timing replays the figure is known to need — across worker processes;
-* a persistent content-addressed cache makes repeat runs warm-start, for
-  serial and parallel execution alike.  ``REPRO_TRACE_CACHE`` points it at
-  a directory (or disables it with ``0``/``off``); ``REPRO_JOBS`` sets the
-  default worker count.
+A persistent content-addressed cache (:mod:`repro.harness.trace_cache`)
+makes repeat runs warm-start, for serial and parallel figure runs alike.
+``REPRO_TRACE_CACHE`` points it at a directory (or disables it with
+``0``/``off``); ``REPRO_JOBS`` sets the default worker count, which
+:mod:`repro.harness.experiments` spends on one fabric task per figure row.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.acf.base import AcfInstallation, plain_installation
 from repro.acf.composition import build_composition
@@ -29,13 +25,7 @@ from repro.acf.compression import (
     compress_image,
 )
 from repro.acf.mfi import attach_mfi, rewrite_mfi
-from repro.harness.parallel import (
-    FUNCTIONAL_DISE,
-    MAX_STEPS,
-    TraceTask,
-    resolve_jobs,
-    run_tasks,
-)
+from repro.core.config import DiseConfig
 from repro.harness.trace_cache import (
     LazyTrace,
     cycle_key,
@@ -47,19 +37,21 @@ from repro.program.image import ProgramImage
 from repro.sim.config import MachineConfig
 from repro.sim.cycle import CycleResult, resolve_cycle_engine, simulate_trace
 from repro.sim.trace import TraceResult
-from repro.telemetry import events as _events
 from repro.workloads.generator import generate_benchmark
 from repro.workloads.specint import BENCHMARK_NAMES, get_profile
 
-# Backwards-compatible aliases (pre-parallel names).
-_FUNCTIONAL_DISE = FUNCTIONAL_DISE
-_MAX_STEPS = MAX_STEPS
+#: Functional runs use a perfect RT: RT behaviour is replayed inside the
+#: timing model, so the functional pass should not burn time there.
+FUNCTIONAL_DISE = DiseConfig(rt_perfect=True)
+
+#: Generous dynamic-instruction budget for transformed binaries.
+MAX_STEPS = 30_000_000
 
 
 class Suite:
     """Lazily generated benchmarks + cached functional traces.
 
-    ``jobs`` sets the default parallel worker count (``None`` defers to the
+    ``jobs`` sets the worker count of figure runs (``None`` defers to the
     ``REPRO_JOBS`` environment variable); ``cache`` configures the
     persistent trace cache: ``"auto"`` (the default) honours
     ``REPRO_TRACE_CACHE``, ``None`` disables, and a path or
@@ -155,8 +147,7 @@ class Suite:
             self._run(key, result.installation())
         return self._traces[key]
 
-    def composition(self, bench: str, scheme: str
-                    ) -> Tuple[CompressionResult, AcfInstallation]:
+    def composition(self, bench: str, scheme: str) -> CompressionResult:
         ckey = (bench, "composition", scheme)
         tkey = (bench, "composed", scheme)
         if ckey not in self._compressions or tkey not in self._traces:
@@ -165,7 +156,7 @@ class Suite:
             self._compressions.setdefault(ckey, result)
             if tkey not in self._traces:
                 self._traces[tkey] = self._execute_installation(installation)
-        return self._compressions[ckey], None
+        return self._compressions[ckey]
 
     def trace_composition(self, bench: str, scheme: str) -> TraceResult:
         self.composition(bench, scheme)
@@ -196,60 +187,3 @@ class Suite:
                     self.cache.store_cycles(persistent_key, result)
             self._cycles[key] = result
         return self._cycles[key]
-
-    # ------------------------------------------------------------------
-    # Parallel execution
-    # ------------------------------------------------------------------
-    def task(self, kind: str, bench: str, **fields) -> TraceTask:
-        """Build a :class:`TraceTask` for this suite's scale."""
-        return TraceTask(bench=bench, scale=self.scale, kind=kind, **fields)
-
-    def prefetch(self, plan: Iterable, jobs: Optional[int] = None) -> int:
-        """Fan a figure's functional simulations (and known timing replays)
-        out across worker processes, populating the in-memory memos.
-
-        ``plan`` entries are ``TraceTask`` or ``(TraceTask, configs)``.
-        Tasks whose traces are already in memory are skipped.  With an
-        effective worker count of 1 this is a no-op (the serial path will
-        compute everything on demand, through the persistent cache).
-        Returns the number of tasks executed.
-        """
-        jobs = resolve_jobs(self.jobs if jobs is None else jobs)
-        if jobs <= 1:
-            return 0
-        normalized = []
-        for entry in plan:
-            task, configs = (entry if isinstance(entry, tuple)
-                             else (entry, ()))
-            if task.suite_key() in self._traces:
-                continue
-            normalized.append((task, tuple(configs)))
-        if not normalized:
-            return 0
-        with _events.span("suite.prefetch", tasks=len(normalized),
-                          jobs=jobs):
-            results = run_tasks(normalized, jobs=jobs, cache=self.cache)
-        for task, (digest, trace, cycle_results) in results.items():
-            self._traces.setdefault(task.suite_key(), trace)
-            fingerprint = trace_fingerprint(trace)
-            for config_repr, result in cycle_results.items():
-                self._cycles.setdefault((fingerprint, config_repr), result)
-        return len(results)
-
-    def run_parallel(self, tasks: Iterable[TraceTask],
-                     jobs: Optional[int] = None) -> Dict[Tuple, TraceResult]:
-        """Run trace tasks in parallel and return {suite key: trace}.
-
-        Unlike :meth:`prefetch` this always executes (even with one job)
-        and returns the traces directly.
-        """
-        normalized = [(task, ()) for task in tasks]
-        results = run_tasks(normalized,
-                            jobs=resolve_jobs(self.jobs if jobs is None
-                                              else jobs),
-                            cache=self.cache)
-        out = {}
-        for task, (digest, trace, _) in results.items():
-            self._traces.setdefault(task.suite_key(), trace)
-            out[task.suite_key()] = self._traces[task.suite_key()]
-        return out

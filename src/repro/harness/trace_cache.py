@@ -14,20 +14,18 @@ Layout (default root ``~/.cache/repro-dise``, override with the
     <root>/traces/<digest>.trc    zlib-compressed pickled trace payload
     <root>/cycles/<digest>.cyc    zlib-compressed pickled CycleResult
 
-Entries are written atomically (tmp file + ``os.replace``) so concurrent
-workers can share one cache directory.  Every entry is framed with a magic
-tag and a truncated sha256 of its payload; an entry that fails the check —
-truncated write, bit rot, a stray file — is *quarantined* (moved to
-``<root>/quarantine/``) and reads as a miss, so the caller regenerates it
-without user intervention.  Keys embed :data:`SCHEMA_VERSION` — bump it
-whenever trace semantics or the serialized form change and every stale
-entry silently misses.
+The store plumbing — integrity framing, write-temp-fsync-rename, and
+quarantine of corrupt entries to ``<root>/quarantine/`` — is
+:class:`repro.fabric.store.FramedStore`, shared with the fabric's artifact
+store: a corrupt entry reads as a miss and the caller regenerates it
+without user intervention.  Keys and frames embed :data:`SCHEMA_VERSION` —
+bump it whenever trace semantics or the serialized form change and every
+stale entry silently misses.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import pickle
 import struct
 import sys
@@ -37,7 +35,12 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from repro.core.production import ProductionSet
-from repro.errors import CacheCorruptionError
+from repro.fabric.store import (
+    CacheError,
+    FramedStore,
+    default_cache_root,
+    frame_version,
+)
 from repro.program.image import ProgramImage
 from repro.sim.memory import Memory
 from repro.sim.trace import OpColumns, TraceResult
@@ -54,67 +57,6 @@ logger = get_logger(__name__)
 #: 4: keys hash packed fixed-width columns of the image and data segment
 #:    instead of per-instruction ``repr`` strings.
 SCHEMA_VERSION = 4
-
-_ENV_VAR = "REPRO_TRACE_CACHE"
-_DISABLED_VALUES = ("0", "off", "none", "no", "false")
-
-
-class CacheError(CacheCorruptionError, RuntimeError):
-    """Raised for malformed payloads (callers treat it as a miss).
-
-    Part of the :mod:`repro.errors` taxonomy; keeps its historical
-    ``RuntimeError`` base for existing ``except`` clauses.
-    """
-
-
-# ----------------------------------------------------------------------
-# Integrity framing
-# ----------------------------------------------------------------------
-#: File header of a framed cache entry (version baked into the magic).
-_MAGIC = b"RDTC%d\n" % SCHEMA_VERSION
-#: Truncated sha256 length — 64 bits of integrity is plenty for rot
-#: detection (this is not an authentication boundary).
-_DIGEST_BYTES = 16
-
-
-def _frame_version(path: Path) -> Optional[int]:
-    """Schema version baked into an entry's ``RDTC<n>`` magic.
-
-    Returns ``None`` (never raises) for unreadable, truncated, or
-    foreign files, so maintenance commands can walk a shared cache
-    directory safely.
-    """
-    try:
-        with open(path, "rb") as fh:
-            head = fh.read(16)
-    except OSError:
-        return None
-    if not head.startswith(b"RDTC"):
-        return None
-    end = head.find(b"\n", 4)
-    if end < 0:
-        return None
-    try:
-        return int(head[4:end])
-    except ValueError:
-        return None
-
-
-def frame_payload(payload: bytes) -> bytes:
-    """Wrap payload bytes with the magic tag and their content digest."""
-    return _MAGIC + hashlib.sha256(payload).digest()[:_DIGEST_BYTES] + payload
-
-
-def unframe_payload(data: bytes) -> bytes:
-    """Verify and strip the integrity frame; raises :class:`CacheError`."""
-    header = len(_MAGIC) + _DIGEST_BYTES
-    if len(data) < header or not data.startswith(_MAGIC):
-        raise CacheError("cache entry has no integrity header")
-    digest = data[len(_MAGIC):header]
-    payload = data[header:]
-    if hashlib.sha256(payload).digest()[:_DIGEST_BYTES] != digest:
-        raise CacheError("cache entry failed its content digest")
-    return payload
 
 
 # ----------------------------------------------------------------------
@@ -305,7 +247,7 @@ def serialize_trace(trace: TraceResult) -> bytes:
     The five structure-of-arrays columns travel as ``array('Q').tobytes()``
     blobs tagged with the recorder's byte order; the sparse expansion map
     stays a plain dict.  Output is deterministic for a given trace — the
-    parallel harness compares serialized bytes across workers.
+    content fingerprint of an uncached trace hashes these bytes.
     """
     cols = trace.columns
     payload = {
@@ -423,63 +365,17 @@ class LazyTrace:
 # ----------------------------------------------------------------------
 # The on-disk cache
 # ----------------------------------------------------------------------
-class TraceCache:
+class TraceCache(FramedStore):
     """Content-addressed trace + cycle-result store under one root dir."""
 
+    FRAME_VERSION = SCHEMA_VERSION
+    ENTRY = "cache entry"
+    QUARANTINE_COUNTER = "trace_cache.quarantined"
+
     def __init__(self, root):
-        self.root = Path(root)
+        super().__init__(root)
         self._traces = self.root / "traces"
         self._cycles = self.root / "cycles"
-        self._quarantine_dir = self.root / "quarantine"
-
-    # -- plumbing ------------------------------------------------------
-    def _write_atomic(self, path: Path, data: bytes):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        try:
-            tmp.write_bytes(data)
-            os.replace(tmp, path)
-        finally:
-            if tmp.exists():
-                try:
-                    tmp.unlink()
-                except OSError:
-                    pass
-
-    def _read(self, path: Path) -> Optional[bytes]:
-        try:
-            return path.read_bytes()
-        except OSError:
-            return None
-
-    def quarantine(self, path: Path, reason):
-        """Move a corrupt entry aside so the next lookup regenerates it."""
-        try:
-            self._quarantine_dir.mkdir(parents=True, exist_ok=True)
-            os.replace(path, self._quarantine_dir / path.name)
-            _telemetry.counter("trace_cache.quarantined").inc()
-            logger.warning(
-                "quarantined corrupt cache entry %s (%s); it will be "
-                "regenerated", path.name, reason,
-            )
-        except OSError:
-            # Quarantine dir unwritable / entry raced away: best effort —
-            # just drop the entry so it cannot be served again.
-            try:
-                path.unlink()
-            except OSError:
-                pass
-
-    def _load_verified(self, path: Path) -> Optional[bytes]:
-        """Read a framed entry; quarantines and misses on corruption."""
-        data = self._read(path)
-        if data is None:
-            return None
-        try:
-            return unframe_payload(data)
-        except CacheError as exc:
-            self.quarantine(path, exc)
-            return None
 
     # -- traces --------------------------------------------------------
     def trace_path(self, digest: str) -> Path:
@@ -490,7 +386,7 @@ class TraceCache:
 
     def load_trace_bytes(self, digest: str) -> Optional[bytes]:
         """Verified trace payload bytes, or ``None`` on miss/corruption."""
-        data = self._load_verified(self.trace_path(digest))
+        data = self.read_framed(self.trace_path(digest))
         _telemetry.counter(
             "trace_cache.trace.hits" if data is not None
             else "trace_cache.trace.misses"
@@ -510,7 +406,7 @@ class TraceCache:
             return None
 
     def store_trace_bytes(self, digest: str, data: bytes):
-        self._write_atomic(self.trace_path(digest), frame_payload(data))
+        self.write_framed(self.trace_path(digest), data)
         _telemetry.counter("trace_cache.trace.stores").inc()
 
     def store_trace(self, digest: str, trace: TraceResult) -> bytes:
@@ -523,7 +419,7 @@ class TraceCache:
         return self._cycles / f"{digest}.cyc"
 
     def load_cycles(self, digest: str):
-        data = self._load_verified(self.cycle_path(digest))
+        data = self.read_framed(self.cycle_path(digest))
         _telemetry.counter(
             "trace_cache.cycles.hits" if data is not None
             else "trace_cache.cycles.misses"
@@ -538,7 +434,7 @@ class TraceCache:
 
     def store_cycles(self, digest: str, result):
         data = zlib.compress(pickle.dumps(result, protocol=4), level=1)
-        self._write_atomic(self.cycle_path(digest), frame_payload(data))
+        self.write_framed(self.cycle_path(digest), data)
         _telemetry.counter("trace_cache.cycles.stores").inc()
 
     # -- maintenance ---------------------------------------------------
@@ -565,7 +461,7 @@ class TraceCache:
                             and entry.is_file():
                         count += 1
                         size += entry.stat().st_size
-                        version = _frame_version(entry)
+                        version = frame_version(entry)
                         key = "unknown" if version is None else str(version)
                         versions[key] = versions.get(key, 0) + 1
             out[kind] = {
@@ -591,7 +487,7 @@ class TraceCache:
                 if not entry.is_file():
                     continue
                 if directory is not self._quarantine_dir:
-                    version = _frame_version(entry)
+                    version = frame_version(entry)
                     if version is not None and version > SCHEMA_VERSION:
                         logger.info(
                             "cache clear: keeping %s (schema %d is newer "
@@ -605,21 +501,6 @@ class TraceCache:
                 except OSError:
                     pass
         return removed
-
-
-def default_cache_root() -> Optional[Path]:
-    """Resolve the cache root from ``REPRO_TRACE_CACHE`` / XDG defaults.
-
-    Returns ``None`` when caching is disabled.
-    """
-    value = os.environ.get(_ENV_VAR)
-    if value is not None:
-        if value.strip().lower() in _DISABLED_VALUES or not value.strip():
-            return None
-        return Path(value).expanduser()
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    base = Path(xdg).expanduser() if xdg else Path.home() / ".cache"
-    return base / "repro-dise"
 
 
 def open_cache(cache="auto") -> Optional[TraceCache]:

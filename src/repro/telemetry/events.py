@@ -19,7 +19,7 @@ tools ignore it).  Event kinds:
     Harness phases (experiments, benchmark preparation, campaign chunks).
     ``span_end`` repeats the name and carries ``seconds``.
 ``task``
-    One parallel-harness task: label, wall seconds, attempts, status.
+    One fabric task: label (the task id), wall seconds, attempts, status.
 ``event``
     Anything else (retries, quarantines, watchdog expiries).
 ``metrics``
@@ -238,7 +238,7 @@ def event(name: str, **fields):
 
 def emit_task(label: str, seconds: float, attempts: int, status: str,
               **fields):
-    """Emit a parallel-harness task record on the current run."""
+    """Emit a fabric task record on the current run."""
     _CURRENT.emit("task", label=label, seconds=round(seconds, 6),
                   attempts=attempts, status=status, **fields)
 

@@ -231,17 +231,17 @@ def render_summary(run: RunView) -> str:
                 lines.append(f"  {label:<22s} {value}")
         lines.append("")
 
-    # -- harness tasks -------------------------------------------------
-    lines.append("## Harness tasks")
+    # -- tasks ---------------------------------------------------------
+    lines.append("## Tasks")
     if run.tasks:
         total = sum(t.get("seconds", 0) for t in run.tasks)
-        retries = run.value("harness.retries")
-        timeouts = run.value("harness.timeouts")
+        retries = run.value("fabric.retries")
+        timeouts = run.value("fabric.timeouts")
         lines.append(f"  tasks                  {len(run.tasks)} "
                      f"({total:.2f}s busy)")
         lines.append(f"  retries                {retries}")
         lines.append(f"  watchdog timeouts      {timeouts}")
-        utilization = run.metrics.get("harness.worker_utilization")
+        utilization = run.metrics.get("fabric.worker_utilization")
         if utilization is not None:
             lines.append(
                 f"  worker utilization     {_pct(utilization.get('value'))}"

@@ -232,12 +232,14 @@ def remote_span(name: str, **fields):
 # ----------------------------------------------------------------------
 # The worker->parent result envelope
 # ----------------------------------------------------------------------
-def wrap_result(result, session: RemoteSession, metrics=None) -> dict:
-    """Bundle a task result with its span records and metrics delta."""
+def wrap_result(result, session: Optional[RemoteSession],
+                metrics=None) -> dict:
+    """Bundle a task result with its span records (none without a
+    session) and metrics delta."""
     return {
         TRACE_ENVELOPE_KEY: 1,
         "result": result,
-        "spans": list(session.records),
+        "spans": list(session.records) if session is not None else [],
         "metrics": metrics or {},
     }
 

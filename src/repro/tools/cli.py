@@ -194,30 +194,33 @@ def cmd_experiment(args):
 
 def cmd_report(args):
     """``report``: run experiments and emit a markdown report."""
-    from repro.harness.report import build_report, report_fingerprint
+    from repro.fabric.checkpoint import load_checkpoint
+    from repro.harness.report import (
+        CHECKPOINT_DRIVER,
+        build_report,
+        report_fingerprint,
+    )
 
     suite = _suite_from_args(args)
     experiments = (
         tuple(args.experiments.split(",")) if args.experiments else None
     )
-    checkpoint = None
+    path = None
+    completed = {}
     if args.checkpoint or args.resume:
-        from repro.harness.checkpoint import RunCheckpoint
-
         path = args.checkpoint or ".repro-report-checkpoint.json"
-        fingerprint = report_fingerprint(suite, experiments)
         if args.resume:
-            checkpoint = RunCheckpoint.load(path, fingerprint)
-            if len(checkpoint):
-                print(f"resuming: {len(checkpoint)} experiment(s) restored "
+            completed = load_checkpoint(
+                path, CHECKPOINT_DRIVER,
+                report_fingerprint(suite, experiments))
+            if completed:
+                print(f"resuming: {len(completed)} experiment(s) restored "
                       f"from {path}", file=sys.stderr)
-        else:
-            checkpoint = RunCheckpoint(path, fingerprint)
     with _telemetry_run(args):
         report = build_report(suite, experiments=experiments,
-                              checkpoint=checkpoint)
-    if checkpoint is not None:
-        checkpoint.clear()
+                              checkpoint=path, completed=completed)
+    if path is not None and os.path.exists(path):
+        os.unlink(path)
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(report)

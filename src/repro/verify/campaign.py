@@ -26,7 +26,7 @@ from repro.errors import CampaignError, CheckpointError
 from repro.fabric.engine import Fabric
 from repro.fabric.task import Task, register_recipe
 from repro.faults.campaign import _atomic_write_json
-from repro.harness.parallel import resolve_jobs
+from repro.fabric.supervise import resolve_jobs
 from repro.telemetry import events as _events
 from repro.telemetry import registry as _telemetry
 from repro.verify.oracles import ORACLES, OracleOutcome, run_oracle

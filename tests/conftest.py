@@ -77,6 +77,26 @@ def build_loop_program(iterations=5, with_function=False):
 
 
 @pytest.fixture
+def figure_fabric(monkeypatch):
+    """Configure the fabric that parallel figure runs construct.
+
+    Call the returned function with extra ``Fabric`` options (an executor
+    factory, a chaos plan, a watchdog); backoff between retries is zero.
+    """
+    from repro.harness import experiments
+
+    real = experiments.Fabric
+
+    def configure(**options):
+        monkeypatch.setattr(
+            experiments, "Fabric",
+            lambda *args, **kwargs: real(*args, **{**kwargs, "backoff": 0.0,
+                                                  **options}))
+
+    return configure
+
+
+@pytest.fixture
 def loop_image():
     return build_loop_program()
 

@@ -13,7 +13,7 @@ from repro.faults.campaign import (
     CampaignInterrupted,
     run_campaign,
 )
-from repro.harness.parallel import TraceTask, run_tasks
+from repro.harness import Suite, fig6_top
 from repro.harness.trace_cache import serialize_trace
 from repro.sim.batch import (
     DEFAULT_COHORT,
@@ -21,13 +21,12 @@ from repro.sim.batch import (
     resolve_batch,
     run_cohort,
 )
-from repro.sim.config import MachineConfig
 from repro.telemetry import registry as registry_mod
 from repro.verify.observe import Observer
 from repro.workloads import BENCHMARK_NAMES, get_profile
 from repro.workloads.generator import generate_benchmark, reseed_data
 
-from repro.harness.parallel import FUNCTIONAL_DISE
+from repro.harness.runner import FUNCTIONAL_DISE
 
 SCALE = 0.02
 MAX_STEPS = 5_000_000
@@ -259,30 +258,20 @@ class TestCampaignBatch:
 
 
 class TestHarnessCohort:
-    def _plan(self):
-        return [
-            (TraceTask(bench="mcf", scale=0.2, kind="mfi", variant="dise3",
-                       data_seed=seed), [MachineConfig()])
-            for seed in (None, 1, 2)
-        ]
+    """Figure rows never run as cohorts: ``REPRO_BATCH`` must not change a
+    figure table, serial or parallel."""
+
+    @staticmethod
+    def _table(jobs):
+        return fig6_top(Suite(benchmarks=("mcf", "bzip2"), scale=0.05,
+                              jobs=jobs, cache=None)).render()
 
     def test_cohort_results_match_serial(self, monkeypatch):
         monkeypatch.delenv("REPRO_BATCH", raising=False)
-        serial = run_tasks(self._plan(), jobs=1)
+        serial = self._table(jobs=1)
         monkeypatch.setenv("REPRO_BATCH", "4")
-        cohort = run_tasks(self._plan(), jobs=1)
-        assert set(serial) == set(cohort)
-        for task in serial:
-            _, trace_s, cycles_s = serial[task]
-            _, trace_b, cycles_b = cohort[task]
-            assert serialize_trace(trace_s) == serialize_trace(trace_b)
-            assert cycles_s == cycles_b
-
-    def test_data_seed_is_part_of_the_suite_key(self):
-        base = TraceTask("mcf", 1.0, "mfi", variant="dise3")
-        seeded = TraceTask("mcf", 1.0, "mfi", variant="dise3", data_seed=4)
-        assert base.suite_key() != seeded.suite_key()
-        assert seeded.suite_key() == base.suite_key() + ("data", 4)
+        assert self._table(jobs=1) == serial
+        assert self._table(jobs=2) == serial
 
 
 class TestGeneratorDataSeed:

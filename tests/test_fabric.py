@@ -3,7 +3,10 @@ supervision.  Chaos-driven end-to-end convergence lives in
 test_fabric_chaos.py."""
 
 import os
+import subprocess
+import sys
 from concurrent.futures import Future
+from pathlib import Path
 
 import pytest
 
@@ -533,3 +536,19 @@ class TestChaosPlan:
         plan = ChaosPlan(hangs=(("t000", 1),), hang_seconds=99.0)
         with pytest.raises(WorkerCrashError):
             plan.perturb("t000", 1)
+
+
+# ----------------------------------------------------------------------
+# Layering
+# ----------------------------------------------------------------------
+class TestLayering:
+    def test_fabric_does_not_load_the_harness(self):
+        code = ("import sys, repro.fabric\n"
+                "print(sorted(m for m in sys.modules\n"
+                "             if m.startswith('repro.harness')))\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src), os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"

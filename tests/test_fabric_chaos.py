@@ -18,6 +18,7 @@ from repro.faults.campaign import (
     CampaignInterrupted,
     run_campaign,
 )
+from repro.harness import Suite, fig6_top
 from repro.verify.campaign import VerifyConfig, run_verification
 
 FAULTS = CampaignConfig(seed=11, faults=6, benchmarks=("gzip",),
@@ -195,3 +196,21 @@ class TestInterruptedChaosResume:
         report = run_verification(VERIFY, jobs=1, checkpoint_path=path,
                                   resume=True)
         assert _bytes(report) == _bytes(verify_oracle)
+
+
+# ----------------------------------------------------------------------
+# Figure regeneration on the fabric
+# ----------------------------------------------------------------------
+class TestFigureChaos:
+    def test_row_kill_converges_to_serial_tables(self, figure_fabric):
+        # A worker SIGKILLs itself on its first attempt at one figure row
+        # under a real process pool; the retried or degraded run must
+        # render the serial table byte for byte.
+        def suite(jobs):
+            return Suite(benchmarks=("mcf", "bzip2"), scale=0.05, jobs=jobs,
+                         cache=None)
+
+        serial = fig6_top(suite(jobs=1)).render()
+        figure_fabric(chaos=ChaosPlan(kills=(("fig6_top/mcf", 1),)),
+                      retries=1)
+        assert fig6_top(suite(jobs=2)).render().encode() == serial.encode()

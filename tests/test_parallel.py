@@ -1,38 +1,49 @@
-"""Parallel figure harness: fan-out, fallback, and Suite integration."""
+"""Parallel figure runs: each figure row is one fabric task, and the tables
+match the serial run byte for byte."""
 
+import json
 import logging
 import os
 from concurrent.futures import Future
 
 import pytest
 
-from repro.harness import Suite, fig6_top, fig6_width
-from repro.harness.parallel import (
-    TraceTask,
-    build_installation,
-    resolve_jobs,
-    run_tasks,
-)
-from repro.harness.trace_cache import (
-    LazyTrace,
-    TraceCache,
-    serialize_trace,
-    trace_fingerprint,
-)
+from repro.fabric.supervise import resolve_jobs
+from repro.harness import ALL_EXPERIMENTS, Suite, fig6_top, fig6_width
+from repro.harness import experiments
+from repro.harness.trace_cache import LazyTrace, TraceCache
 from repro.sim.config import MachineConfig
+from repro.telemetry import enabled_scope
+from repro.telemetry import registry as registry_mod
 
-SCALE = 0.2
-BENCHES = ("mcf", "gzip")
+SCALE = 0.05
+BENCHES = ("mcf", "bzip2")
 
 
-def _plan(configs=None):
-    configs = configs if configs is not None else [MachineConfig()]
-    return [
-        (TraceTask(bench="mcf", scale=SCALE, kind="plain"), configs),
-        (TraceTask(bench="mcf", scale=SCALE, kind="mfi", variant="dise3"),
-         configs),
-        (TraceTask(bench="gzip", scale=SCALE, kind="rewrite"), configs),
-    ]
+def _tables(suite, names=tuple(ALL_EXPERIMENTS)):
+    return {name: ALL_EXPERIMENTS[name](suite).render() for name in names}
+
+
+@pytest.fixture(scope="module")
+def serial_tables():
+    """All eight experiments, serial and uncached: the reference."""
+    return _tables(Suite(benchmarks=BENCHES, scale=SCALE, jobs=1,
+                         cache=None))
+
+
+class FailingExecutor:
+    """Every submitted task fails as if its worker crashed."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_exception(RuntimeError("worker exploded"))
+        return future
 
 
 class TestResolveJobs:
@@ -78,138 +89,73 @@ class TestResolveJobs:
         assert "5 jobs exceed the 4 CPU(s)" in record.getMessage()
 
 
-class TestTraceTask:
-    def test_suite_keys(self):
-        assert TraceTask("mcf", 1.0, "plain").suite_key() == ("mcf", "plain")
-        assert TraceTask("mcf", 1.0, "mfi", variant="dise4").suite_key() == \
-            ("mcf", "mfi", "dise4")
-        assert TraceTask("mcf", 1.0, "rewrite").suite_key() == \
-            ("mcf", "rewrite")
-        assert TraceTask("mcf", 1.0, "compressed", label="DISE").suite_key() \
-            == ("mcf", "compressed", "DISE")
-        assert TraceTask("mcf", 1.0, "composed", scheme="mfi+comp") \
-            .suite_key() == ("mcf", "composed", "mfi+comp")
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            TraceTask("mcf", 1.0, "nonsense")
-
-    def test_build_installation_is_deterministic(self):
-        task = TraceTask("mcf", SCALE, "mfi", variant="dise3")
-        a = build_installation(task)
-        b = build_installation(task)
-        assert [repr(i) for i in a.image.instructions] == \
-            [repr(i) for i in b.image.instructions]
-
-
 class TestRunTasks:
-    def test_parallel_is_bit_identical_to_serial(self):
-        serial = run_tasks(_plan(), jobs=1)
-        parallel = run_tasks(_plan(), jobs=2)
-        assert set(serial) == set(parallel)
-        for task in serial:
-            _, trace_s, cycles_s = serial[task]
-            _, trace_p, cycles_p = parallel[task]
-            assert serialize_trace(trace_s) == serialize_trace(trace_p)
-            assert cycles_s == cycles_p
+    """Figure rows as tasks of the ``repro.harness.experiments:row``
+    recipe, run by a fabric whenever ``jobs >= 2``."""
+
+    def test_parallel_is_bit_identical_to_serial(self, serial_tables):
+        parallel = Suite(benchmarks=BENCHES, scale=SCALE, jobs=2,
+                         cache=None)
+        assert _tables(parallel) == serial_tables
 
     def test_results_populate_cache(self, tmp_path):
         cache = TraceCache(tmp_path)
-        run_tasks(_plan(), jobs=2, cache=cache)
+        fig6_top(Suite(benchmarks=BENCHES, scale=SCALE, jobs=2,
+                       cache=cache))
         stats = cache.stats()
-        assert stats["traces"]["entries"] == 3
-        assert stats["cycles"]["entries"] == 3
+        # Per benchmark: plain, rewrite, dise4, dise3 traces; one replay
+        # of each plus the stall and pipe replays of dise4.
+        assert stats["traces"]["entries"] == 4 * len(BENCHES)
+        assert stats["cycles"]["entries"] == 6 * len(BENCHES)
 
-    def test_cached_rerun_matches(self, tmp_path):
-        cache = TraceCache(tmp_path)
-        first = run_tasks(_plan(), jobs=1, cache=cache)
-        second = run_tasks(_plan(), jobs=2, cache=cache)
-        for task in first:
-            assert serialize_trace(first[task][1]) == \
-                serialize_trace(second[task][1])
-            assert first[task][2] == second[task][2]
+    def test_cached_rerun_matches(self, tmp_path, serial_tables):
+        cold = Suite(benchmarks=BENCHES, scale=SCALE, jobs=2,
+                     cache=tmp_path)
+        assert _tables(cold) == serial_tables
+        warm = Suite(benchmarks=BENCHES, scale=SCALE, jobs=2,
+                     cache=tmp_path)
+        assert _tables(warm) == serial_tables
 
     def test_fully_cached_rerun_stays_lazy(self, tmp_path):
-        cache = TraceCache(tmp_path)
-        run_tasks(_plan(), jobs=1, cache=cache)
-        warm = run_tasks(_plan(), jobs=2, cache=cache)
-        for task, (digest, trace, cycles) in warm.items():
+        fig6_top(Suite(benchmarks=BENCHES, scale=SCALE, jobs=2,
+                       cache=tmp_path))
+        before = TraceCache(tmp_path).stats()
+        warm = Suite(benchmarks=BENCHES, scale=SCALE, jobs=1,
+                     cache=tmp_path)
+        fig6_top(warm)
+        assert warm._traces
+        for trace in warm._traces.values():
             assert isinstance(trace, LazyTrace)
             assert trace._real is None      # ops never deserialized
-            assert digest is not None and cycles
-        # Materializing still yields the stored trace.
-        reference = run_tasks(_plan(), jobs=1)
-        for task in reference:
-            assert serialize_trace(warm[task][1]) == \
-                serialize_trace(reference[task][1])
+        fig6_top(Suite(benchmarks=BENCHES, scale=SCALE, jobs=2,
+                       cache=tmp_path))
+        assert TraceCache(tmp_path).stats() == before
 
-    def test_worker_failure_falls_back_to_serial(self, caplog):
-        class FailingExecutor:
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_exception(RuntimeError("worker exploded"))
-                return future
-
-        with caplog.at_level(logging.WARNING, logger="repro.harness.parallel"):
-            results = run_tasks(_plan(), jobs=2,
-                                executor_factory=FailingExecutor)
-        assert len(results) == 3
+    def test_worker_failure_falls_back_to_serial(self, figure_fabric, caplog,
+                                                 serial_tables):
+        figure_fabric(executor_factory=FailingExecutor, retries=1)
+        suite = Suite(benchmarks=BENCHES, scale=SCALE, jobs=2, cache=None)
+        with caplog.at_level(logging.WARNING, logger="repro.fabric"):
+            table = fig6_top(suite).render()
+        assert table == serial_tables["fig6_top"]
         assert any("falling back to serial" in rec.message
                    for rec in caplog.records)
-        reference = run_tasks(_plan(), jobs=1)
-        for task in reference:
-            assert serialize_trace(results[task][1]) == \
-                serialize_trace(reference[task][1])
 
-    def test_broken_pool_completes_serially(self, caplog):
+    def test_broken_pool_completes_serially(self, figure_fabric, caplog,
+                                            serial_tables):
         def broken_factory():
             raise OSError("fork failed")
 
-        with caplog.at_level(logging.WARNING, logger="repro.harness.parallel"):
-            results = run_tasks(_plan(), jobs=2,
-                                executor_factory=broken_factory)
-        assert len(results) == 3
+        figure_fabric(executor_factory=broken_factory)
+        suite = Suite(benchmarks=BENCHES, scale=SCALE, jobs=2, cache=None)
+        with caplog.at_level(logging.WARNING, logger="repro.fabric"):
+            table = fig6_top(suite).render()
+        assert table == serial_tables["fig6_top"]
         assert any("completing serially" in rec.message
                    for rec in caplog.records)
 
-    def test_config_lists_are_merged_per_task(self):
-        task = TraceTask("mcf", SCALE, "plain")
-        wide = MachineConfig(width=8)
-        plan = [(task, [MachineConfig()]), (task, [MachineConfig(), wide])]
-        results = run_tasks(plan, jobs=1)
-        assert len(results) == 1
-        assert set(results[task][2]) == {repr(MachineConfig()), repr(wide)}
-
 
 class TestSuiteIntegration:
-    def test_prefetch_populates_traces_and_cycles(self):
-        suite = Suite(benchmarks=BENCHES, scale=SCALE, jobs=2, cache=None)
-        config = MachineConfig()
-        plan = [
-            (suite.task("plain", "mcf"), [config]),
-            (suite.task("mfi", "gzip", variant="dise3"), [config]),
-        ]
-        count = suite.prefetch(plan)
-        assert count == 2
-        assert ("mcf", "plain") in suite._traces
-        assert ("gzip", "mfi", "dise3") in suite._traces
-        trace = suite._traces[("mcf", "plain")]
-        assert (trace_fingerprint(trace), repr(config)) in suite._cycles
-        # A second prefetch of the same plan is a no-op.
-        assert suite.prefetch(plan) == 0
-
-    def test_prefetch_serial_jobs_is_noop(self):
-        suite = Suite(benchmarks=BENCHES, scale=SCALE, jobs=1, cache=None)
-        plan = [(suite.task("plain", "mcf"), [MachineConfig()])]
-        assert suite.prefetch(plan) == 0
-        assert ("mcf", "plain") not in suite._traces
-
     def test_parallel_cached_figures_match_serial(self, tmp_path):
         serial = Suite(benchmarks=BENCHES, scale=SCALE, jobs=1, cache=None)
         fast = Suite(benchmarks=BENCHES, scale=SCALE, jobs=2,
@@ -233,3 +179,39 @@ class TestSuiteIntegration:
         trace2 = second.trace_plain("mcf")
         assert trace2.cache_key is not None
         assert second.cycles(trace2, config) == result
+
+    def test_one_benchmark_runs_on_the_callers_suite(self, monkeypatch):
+        def no_fabric(*args, **kwargs):
+            raise AssertionError("a one-row figure needs no fabric")
+
+        monkeypatch.setattr(experiments, "Fabric", no_fabric)
+        suite = Suite(benchmarks=("mcf",), scale=SCALE, jobs=2, cache=None)
+        fig6_top(suite)
+        assert ("mcf", "mfi", "dise3") in suite._traces
+
+    def test_row_task_returns_the_serial_row_as_json(self, serial_tables):
+        serial = Suite(benchmarks=BENCHES, scale=SCALE, jobs=1, cache=None)
+        expected = fig6_width(serial).as_dict()["bzip2"]
+        row = experiments.row_task({
+            "experiment": "fig6_width", "bench": "bzip2", "scale": SCALE,
+            "cache": None, "cycle_engine": serial.cycle_engine,
+        })
+        assert json.loads(json.dumps(row)) == row == expected
+        assert list(row) == list(expected)
+
+    def test_parallel_metrics_match_serial(self):
+        """Worker registry deltas reach the parent with tracing off."""
+        def counters(jobs):
+            with enabled_scope(True):
+                registry_mod.get_registry().reset()
+                fig6_top(Suite(benchmarks=BENCHES, scale=SCALE, jobs=jobs,
+                               cache=None))
+                snap = registry_mod.snapshot()
+                registry_mod.get_registry().reset()
+            return {name: metric for name, metric in snap.items()
+                    if metric["type"] == "counter"
+                    and not name.startswith("fabric.")}
+
+        serial = counters(jobs=1)
+        assert serial["sim.instructions"]["value"] > 0
+        assert counters(jobs=2) == serial

@@ -1,34 +1,33 @@
-"""Harness resilience: watchdogs, retries, and report checkpoint/resume."""
+"""Figure resilience: watchdogs, retries, and report checkpoint/resume."""
 
 import json
 import logging
-import os
 from concurrent.futures import Future
 
 import pytest
 
 from repro.errors import CheckpointError, TaskTimeoutError
-from repro.harness import Suite
-from repro.harness.checkpoint import RunCheckpoint
-from repro.harness.parallel import (
-    TaskResults,
-    TraceTask,
-    resolve_retries,
-    resolve_task_timeout,
-    run_tasks,
+from repro.fabric.checkpoint import load_checkpoint, write_checkpoint
+from repro.fabric.supervise import resolve_retries, resolve_task_timeout
+from repro.harness import Suite, experiments, fig6_top
+from repro.harness.report import (
+    CHECKPOINT_DRIVER,
+    build_report,
+    report_fingerprint,
 )
-from repro.harness.report import build_report, report_fingerprint
-from repro.harness.trace_cache import serialize_trace
-from repro.sim.config import MachineConfig
+from repro.tools.cli import main
 
 SCALE = 0.05
+BENCHES = ("mcf", "bzip2")
 
 
-def _plan():
-    return [
-        (TraceTask("mcf", SCALE, "plain"), [MachineConfig()]),
-        (TraceTask("gzip", SCALE, "plain"), [MachineConfig()]),
-    ]
+def _suite(jobs=2):
+    return Suite(benchmarks=BENCHES, scale=SCALE, jobs=jobs, cache=None)
+
+
+@pytest.fixture(scope="module")
+def serial_table():
+    return fig6_top(_suite(jobs=1)).render()
 
 
 class _InlineFuture(Future):
@@ -103,55 +102,60 @@ class TestEnvResolution:
 
 
 class TestRetries:
-    def test_induced_crash_recovers_via_retry(self, caplog):
+    def test_induced_crash_recovers_via_retry(self, figure_fabric, caplog,
+                                              serial_table):
         executor = FlakyExecutor(crashes=1)
-        with caplog.at_level(logging.WARNING,
-                             logger="repro.harness.parallel"):
-            results = run_tasks(_plan(), jobs=2, executor_factory=executor,
-                                retries=1, backoff=0.0)
-        assert len(results) == 2
-        assert not results.failures
+        figure_fabric(executor_factory=executor, retries=1)
+        with caplog.at_level(logging.WARNING, logger="repro.fabric"):
+            table = fig6_top(_suite()).render()
         assert any("retrying" in rec.message for rec in caplog.records)
-        # Retried results are the same as an undisturbed serial run.
-        reference = run_tasks(_plan(), jobs=1)
-        for task in reference:
-            assert serialize_trace(results[task][1]) == \
-                serialize_trace(reference[task][1])
+        assert not any("falling back" in rec.message
+                       for rec in caplog.records)
+        # Retried rows are the same as an undisturbed serial run.
+        assert table == serial_table
 
-    def test_exhausted_retries_fall_back_to_serial(self, caplog):
+    def test_exhausted_retries_fall_back_to_serial(self, figure_fabric, caplog,
+                                                   serial_table):
         executor = FlakyExecutor(crashes=100)     # never recovers in-pool
-        with caplog.at_level(logging.WARNING,
-                             logger="repro.harness.parallel"):
-            results = run_tasks(_plan(), jobs=2, executor_factory=executor,
-                                retries=1, backoff=0.0)
-        assert len(results) == 2                  # serial fallback saved it
+        figure_fabric(executor_factory=executor, retries=1)
+        with caplog.at_level(logging.WARNING, logger="repro.fabric"):
+            table = fig6_top(_suite()).render()
+        assert table == serial_table              # serial fallback saved it
         assert any("falling back to serial" in rec.message
                    for rec in caplog.records)
 
 
 class TestWatchdog:
-    def test_hung_tasks_are_skipped_with_structured_failures(self, caplog):
-        with caplog.at_level(logging.WARNING,
-                             logger="repro.harness.parallel"):
-            results = run_tasks(_plan(), jobs=2,
-                                executor_factory=HangingExecutor,
-                                task_timeout=0.05, retries=1, backoff=0.0)
-        assert isinstance(results, TaskResults)
-        assert len(results) == 0
-        assert len(results.failures) == 2
-        for failure in results.failures:
-            assert isinstance(failure.error, TaskTimeoutError)
-            assert failure.error.retryable
-            assert failure.attempts == 2          # initial try + 1 retry
-            details = failure.details()
-            assert details["type"] == "TaskTimeoutError"
-            assert details["timeout"] == 0.05
-        assert any("skipping" in rec.message for rec in caplog.records)
+    def test_hung_tasks_raise_a_structured_timeout(self, figure_fabric,
+                                                   caplog):
+        figure_fabric(executor_factory=HangingExecutor,
+                     task_timeout=0.05, retries=1)
+        with caplog.at_level(logging.WARNING, logger="repro.fabric"):
+            with pytest.raises(TaskTimeoutError) as info:
+                fig6_top(_suite())
+        error = info.value
+        assert error.retryable
+        assert error.attempts == 2                # initial try + 1 retry
+        details = error.details()
+        assert details["type"] == "TaskTimeoutError"
+        assert details["timeout"] == 0.05
+        assert details["task"].startswith("fig6_top/")
+        assert any("exceeded its" in rec.message for rec in caplog.records)
 
-    def test_no_watchdog_by_default(self, monkeypatch):
+    def test_no_watchdog_by_default(self, monkeypatch, serial_table):
         monkeypatch.delenv("REPRO_TASK_TIMEOUT", raising=False)
-        results = run_tasks(_plan(), jobs=2)
-        assert len(results) == 2 and not results.failures
+        monkeypatch.delenv("REPRO_FABRIC_TIMEOUT", raising=False)
+        real = experiments.Fabric
+        seen = []
+
+        def spy(*args, **kwargs):
+            fabric = real(*args, **kwargs)
+            seen.append(fabric.task_timeout)
+            return fabric
+
+        monkeypatch.setattr(experiments, "Fabric", spy)
+        assert fig6_top(_suite()).render() == serial_table
+        assert seen == [None]
 
 
 class TestReportCheckpoint:
@@ -167,82 +171,86 @@ class TestReportCheckpoint:
 
         reference = build_report(suite, experiments=self.EXPS)
 
-        checkpoint = RunCheckpoint(path, fingerprint)
-        first = build_report(suite, experiments=self.EXPS,
-                             checkpoint=checkpoint)
+        first = build_report(suite, experiments=self.EXPS, checkpoint=path)
         assert first == reference
-        assert os.path.exists(path) and len(checkpoint) == 1
+        restored = load_checkpoint(path, CHECKPOINT_DRIVER, fingerprint)
+        assert list(restored) == ["fig6_top"]
 
         # A "resumed" run replays the checkpointed section — even on a
         # suite that could not recompute it — and renders identically.
         broken = Suite(benchmarks=("nonsense",), scale=SCALE, cache=None)
         broken.benchmarks = ("mcf",)   # fingerprint-compatible, unusable
-        restored = RunCheckpoint.load(path, fingerprint)
-        assert len(restored) == 1
         resumed = build_report(broken, experiments=self.EXPS,
-                               checkpoint=restored)
+                               checkpoint=path, completed=restored)
         assert resumed == reference
 
     def test_fingerprint_mismatch_refuses(self, tmp_path):
         suite = self._suite()
         path = str(tmp_path / "ck.json")
-        checkpoint = RunCheckpoint(path, report_fingerprint(suite,
-                                                            self.EXPS))
-        checkpoint.record("fig6_top", "## stale section")
+        write_checkpoint(path, CHECKPOINT_DRIVER,
+                         report_fingerprint(suite, self.EXPS),
+                         {"fig6_top": "## stale section"})
         with pytest.raises(CheckpointError):
-            RunCheckpoint.load(
-                path, report_fingerprint(suite, ("fig6_top", "fig6_width"))
+            load_checkpoint(
+                path, CHECKPOINT_DRIVER,
+                report_fingerprint(suite, ("fig6_top", "fig6_width")),
             )
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path, "faults",
+                            report_fingerprint(suite, self.EXPS))
 
     def test_corrupt_checkpoint_quarantined(self, tmp_path):
         # A truncated/bit-flipped checkpoint must not kill the resume:
         # it is renamed aside and the run restarts from empty.
         path = tmp_path / "ck.json"
         path.write_text("{not json")
-        checkpoint = RunCheckpoint.load(str(path), {"anything": 1})
-        assert len(checkpoint) == 0
+        assert load_checkpoint(str(path), CHECKPOINT_DRIVER,
+                               {"anything": 1}) == {}
         assert not path.exists()
         assert (tmp_path / "ck.json.quarantined").exists()
 
     def test_malformed_checkpoint_quarantined(self, tmp_path):
-        path = tmp_path / "ck.json"
-        path.write_text(json.dumps({"schema": 1, "fingerprint": {"x": 1},
-                                    "sections": "oops"}))
-        checkpoint = RunCheckpoint.load(str(path), {"x": 1})
-        assert len(checkpoint) == 0
-        assert (tmp_path / "ck.json.quarantined").exists()
+        # Includes files in the report's former checkpoint layout, whose
+        # sections table sat under "sections" with no content digest.
+        for sections in ("oops", {"fig6_top": "## old"}):
+            path = tmp_path / "ck.json"
+            path.write_text(json.dumps({"schema": 1,
+                                        "fingerprint": {"x": 1},
+                                        "sections": sections}))
+            assert load_checkpoint(str(path), CHECKPOINT_DRIVER,
+                                   {"x": 1}) == {}
+            assert not path.exists()
+            quarantined = tmp_path / "ck.json.quarantined"
+            assert quarantined.exists()
+            quarantined.unlink()
 
     def test_missing_checkpoint_starts_empty(self, tmp_path):
-        checkpoint = RunCheckpoint.load(str(tmp_path / "absent.json"),
-                                        {"x": 1})
-        assert len(checkpoint) == 0
-        assert checkpoint.completed("fig6_top") is None
+        assert load_checkpoint(str(tmp_path / "absent.json"),
+                               CHECKPOINT_DRIVER, {"x": 1}) == {}
 
-    def test_clear_removes_the_file(self, tmp_path):
-        path = str(tmp_path / "ck.json")
-        checkpoint = RunCheckpoint(path, {"x": 1})
-        checkpoint.record("a", "text")
-        assert os.path.exists(path)
-        checkpoint.clear()
-        assert not os.path.exists(path)
-        assert len(checkpoint) == 0
+    def test_clear_removes_the_file(self, tmp_path, capsys):
+        path = tmp_path / "ck.json"
+        out = tmp_path / "report.md"
+        args = ["report", "--benchmarks", "mcf", "--scale", "0.05",
+                "--experiments", "fig7_ratio", "--no-cache",
+                "--checkpoint", str(path), "-o", str(out)]
+        assert main(args) == 0
+        assert out.exists()
+        assert not path.exists()
 
 
 class TestKilledWorkerResume:
-    """The ISSUE acceptance scenario: a worker dies mid-figure; the run is
-    interrupted; ``--resume`` completes with identical output."""
+    """A run dies mid-report; ``--resume`` completes with identical
+    output, recomputing only the unfinished experiment."""
 
-    def test_crash_interrupt_resume_identical(self, tmp_path, caplog):
+    def test_crash_interrupt_resume_identical(self, tmp_path, monkeypatch):
         exps = ("fig6_top", "fig6_width")
-        suite = Suite(benchmarks=("mcf",), scale=SCALE, cache=None,
-                      jobs=2)
-        fingerprint = report_fingerprint(suite, exps)
+        fingerprint = report_fingerprint(self._fresh(), exps)
         path = str(tmp_path / "ck.json")
         reference = build_report(self._fresh(), experiments=exps)
 
         # Run 1 "dies" after the first experiment (simulated by an
         # exception from the second), leaving the checkpoint behind.
-        checkpoint = RunCheckpoint(path, fingerprint)
         from repro.harness import report as report_mod
 
         real = report_mod._render_section
@@ -254,21 +262,20 @@ class TestKilledWorkerResume:
                 raise KeyboardInterrupt("killed mid-figure")
             return real(name, suite_)
 
-        report_mod._render_section = dying
-        try:
-            with pytest.raises(KeyboardInterrupt):
-                build_report(self._fresh(), experiments=exps,
-                             checkpoint=checkpoint)
-        finally:
-            report_mod._render_section = real
-        assert len(RunCheckpoint.load(path, fingerprint)) == 1
+        monkeypatch.setattr(report_mod, "_render_section", dying)
+        with pytest.raises(KeyboardInterrupt):
+            build_report(self._fresh(), experiments=exps, checkpoint=path)
+        monkeypatch.setattr(report_mod, "_render_section", real)
+        restored = load_checkpoint(path, CHECKPOINT_DRIVER, fingerprint)
+        assert list(restored) == ["fig6_top"]
 
         # Run 2 resumes: only the unfinished experiment is recomputed.
-        restored = RunCheckpoint.load(path, fingerprint)
         resumed = build_report(self._fresh(), experiments=exps,
-                               checkpoint=restored)
+                               checkpoint=path, completed=restored)
         assert resumed == reference
+        assert load_checkpoint(path, CHECKPOINT_DRIVER,
+                               fingerprint).keys() == set(exps)
 
     @staticmethod
     def _fresh():
-        return Suite(benchmarks=("mcf",), scale=SCALE, cache=None, jobs=2)
+        return Suite(benchmarks=BENCHES, scale=SCALE, cache=None, jobs=2)

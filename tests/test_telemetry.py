@@ -7,7 +7,7 @@ Covers the tentpole guarantees:
 * registry semantics (kind safety, snapshots, cross-process merge/delta);
 * JSONL run logs round-trip and ``validate_log`` rejects malformed logs;
 * seeded runs produce byte-identical metric snapshots (determinism);
-* :class:`TaskFailure` records elapsed time and per-attempt timestamps;
+* the fabric emits one ``task`` record per task, which the summary reads;
 * ``get_logger`` namespacing and ``REPRO_LOG_LEVEL`` handling.
 """
 
@@ -18,8 +18,7 @@ import pytest
 
 from conftest import build_loop_program
 from repro.acf.mfi import attach_mfi
-from repro.errors import TaskError
-from repro.harness.parallel import TaskFailure, TraceTask
+from repro.fabric import Fabric, Task, register_recipe
 from repro.telemetry import events as events_mod
 from repro.telemetry import registry as registry_mod
 from repro.telemetry import (
@@ -321,25 +320,47 @@ class TestInstrumentation:
 
 
 # ----------------------------------------------------------------------
-# TaskFailure timing fields
+# Fabric task records
 # ----------------------------------------------------------------------
-class TestTaskFailure:
-    def test_details_carry_elapsed_and_attempt_times(self):
-        task = TraceTask("bzip2", 1.0, "plain")
-        failure = TaskFailure(task, TaskError("boom", attempts=2), 2,
-                              elapsed=3.5, attempt_times=(100.0, 102.5))
-        details = failure.details()
-        assert details["elapsed"] == 3.5
-        assert details["attempt_times"] == [100.0, 102.5]
-        assert details["attempts"] == 2
-        json.dumps(details)  # report-embeddable
+register_recipe(f"{__name__}:square", lambda params: params["x"] ** 2)
 
-    def test_timing_fields_default_for_legacy_construction(self):
-        task = TraceTask("bzip2", 1.0, "plain")
-        failure = TaskFailure(task, TaskError("boom"), 1)
-        assert failure.elapsed == 0.0
-        assert failure.attempt_times == ()
-        assert failure.details()["attempt_times"] == []
+
+class TestTaskRecords:
+    def test_fabric_emits_one_task_record_per_task(self, tmp_path):
+        tasks = [Task(f"{__name__}:square", {"x": x}, task_id=f"t{x}")
+                 for x in range(3)]
+        with enabled_scope(True):
+            events_mod.start_run(log_dir=tmp_path, run_id="run-tasks")
+            results = Fabric("test", {}, store=None, jobs=1).run(tasks)
+            path = events_mod.finish_run("ok")
+        assert results == {"t0": 0, "t1": 1, "t2": 4}
+        validate_log(path)
+        records = [e for e in read_events(path) if e["kind"] == "task"]
+        assert [r["label"] for r in records] == ["t0", "t1", "t2"]
+        for record in records:
+            assert record["status"] == "ok"
+            assert record["attempts"] == 1
+            assert record["seconds"] >= 0
+
+    def test_summary_tasks_section_reads_fabric_metrics(self, tmp_path,
+                                                         capsys):
+        from repro.tools.cli import main as cli_main
+
+        with enabled_scope(True):
+            events_mod.start_run(log_dir=tmp_path, run_id="run-tasks")
+            registry_mod.counter("fabric.retries").inc(2)
+            registry_mod.counter("fabric.timeouts").inc(1)
+            registry_mod.gauge("fabric.worker_utilization").set(0.5)
+            events_mod.emit_task("fig6_top/mcf", 1.5, 3, "ok")
+            path = events_mod.finish_run("ok")
+        assert cli_main(["telemetry", "summary", str(path)]) == 0
+        out = capsys.readouterr().out
+        section = out[out.index("## Tasks"):]
+        assert "tasks                  1 (1.50s busy)" in section
+        assert "retries                2" in section
+        assert "watchdog timeouts      1" in section
+        assert "worker utilization     50" in section
+        assert "x3  ok       fig6_top/mcf" in section
 
 
 # ----------------------------------------------------------------------

@@ -369,19 +369,22 @@ class TestSelfHealing:
     """Corrupt entries are quarantined and regenerated, not served."""
 
     def test_frame_round_trip_and_detection(self):
-        from repro.harness.trace_cache import frame_payload, unframe_payload
+        from repro.fabric.store import frame_payload, unframe_payload
 
         payload = b"some cached payload"
-        framed = frame_payload(payload)
-        assert unframe_payload(framed) == payload
+        framed = frame_payload(payload, SCHEMA_VERSION)
+        assert framed.startswith(b"RDTC%d\n" % SCHEMA_VERSION)
+        assert unframe_payload(framed, SCHEMA_VERSION) == payload
         with pytest.raises(CacheError):
-            unframe_payload(framed[:-3])            # truncated payload
+            unframe_payload(framed[:-3], SCHEMA_VERSION)   # truncated
         with pytest.raises(CacheError):
-            unframe_payload(b"not a cache entry")   # no header
+            unframe_payload(b"not a cache entry", SCHEMA_VERSION)
+        with pytest.raises(CacheError):                    # other schema
+            unframe_payload(frame_payload(payload, 2), SCHEMA_VERSION)
         flipped = bytearray(framed)
         flipped[len(flipped) // 2] ^= 0x10
         with pytest.raises(CacheError):
-            unframe_payload(bytes(flipped))         # bit rot
+            unframe_payload(bytes(flipped), SCHEMA_VERSION)  # bit rot
 
     def test_truncated_entry_quarantined(self, tmp_path, trace):
         cache = TraceCache(tmp_path)
@@ -414,22 +417,22 @@ class TestSelfHealing:
 
     def test_regeneration_matches_cold_run(self, tmp_path):
         """End to end: corrupting a cache entry must not change results."""
-        from repro.harness.parallel import TraceTask, run_tasks
+        from repro.harness import Suite
 
-        cache = TraceCache(tmp_path)
-        task = TraceTask("mcf", 0.05, "plain")
-        plan = [(task, [MachineConfig()])]
-        cold = run_tasks(plan, jobs=1, cache=cache)
-        digest = cold[task][0]
-        path = cache.trace_path(digest)
+        config = MachineConfig()
+        cold = Suite(benchmarks=("mcf",), scale=0.05, cache=tmp_path)
+        trace = cold.trace_plain("mcf")
+        result = cold.cycles(trace, config)
+        cache = cold.cache
+        path = cache.trace_path(trace.cache_key)
         data = bytearray(path.read_bytes())
         data[len(data) // 3] ^= 0x01
         path.write_bytes(bytes(data))
-        healed = run_tasks(plan, jobs=1, cache=cache)
-        assert serialize_trace(healed[task][1]) == \
-            serialize_trace(cold[task][1])
-        assert healed[task][2] == cold[task][2]
-        assert cache.has_trace(digest)              # re-stored after healing
+        warm = Suite(benchmarks=("mcf",), scale=0.05, cache=tmp_path)
+        healed = warm.trace_plain("mcf")
+        assert warm.cycles(healed, config) == result
+        assert serialize_trace(healed) == serialize_trace(trace)
+        assert cache.has_trace(trace.cache_key)   # re-stored after healing
         assert cache.stats()["quarantined"]["entries"] == 1
 
     def test_cache_error_is_structured(self):

@@ -21,7 +21,7 @@ import pytest
 from conftest import build_loop_program
 from repro.acf.mfi import attach_mfi, ensure_error_stub
 from repro.faults.campaign import CampaignConfig, run_campaign
-from repro.harness.parallel import FUNCTIONAL_DISE
+from repro.harness.runner import FUNCTIONAL_DISE
 from repro.sim.batch import BatchMachine
 from repro.telemetry import events as events_mod
 from repro.telemetry import profile as profile_mod
