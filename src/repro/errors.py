@@ -51,6 +51,18 @@ class ReproError(Exception):
 
 
 # ----------------------------------------------------------------------
+# Configuration
+# ----------------------------------------------------------------------
+class ConfigError(ReproError, ValueError):
+    """A machine, cache or predictor configuration is invalid.
+
+    Raised at construction, so a bad geometry fails where it is written
+    instead of mid-replay.  Subclasses ``ValueError`` so existing
+    ``except ValueError`` clauses keep working.
+    """
+
+
+# ----------------------------------------------------------------------
 # Simulator layer
 # ----------------------------------------------------------------------
 class SimulationError(ReproError, RuntimeError):

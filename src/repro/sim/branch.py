@@ -13,12 +13,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import ConfigError
+
 
 @dataclass(frozen=True)
 class BranchPredictorConfig:
     gshare_bits: int = 14          # 16K 2-bit counters
     btb_entries: int = 2048
     ras_entries: int = 16
+
+    def __post_init__(self):
+        if self.btb_entries < 1:
+            raise ConfigError(
+                f"btb_entries must be at least 1, not {self.btb_entries}")
+        if self.gshare_bits < 0 or self.ras_entries < 0:
+            raise ConfigError("gshare_bits and ras_entries must not be "
+                              "negative")
 
 
 class BranchPredictor:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.core.config import DiseConfig
+from repro.errors import ConfigError
 from repro.sim.branch import BranchPredictorConfig
 from repro.sim.cache import CacheConfig
 
@@ -63,6 +64,12 @@ class MachineConfig:
     #: the codeword PC.  Default True; ``benchmarks/bench_ablation.py``
     #: quantifies the difference.
     predict_replacement_branches: bool = True
+
+    def __post_init__(self):
+        for name in ("width", "rob_entries", "rs_entries"):
+            if getattr(self, name) < 1:
+                raise ConfigError(
+                    f"{name} must be at least 1, not {getattr(self, name)}")
 
     def with_changes(self, **changes) -> "MachineConfig":
         return replace(self, **changes)

@@ -65,7 +65,12 @@ from repro.core.config import (
 from repro.core.tables import ReplacementTable, replay_rt
 from repro.isa.opcodes import OPCODE_BY_CODE
 from repro.sim.branch import ACT_END_GROUP, BranchPredictor, replay_control
-from repro.sim.cache import Cache, PerfectCache, replay_hierarchy
+from repro.sim.cache import (
+    Cache,
+    PerfectCache,
+    cache_geometry,
+    replay_hierarchy,
+)
 from repro.sim.config import MachineConfig
 from repro.telemetry import registry as _telemetry
 
@@ -197,6 +202,8 @@ def resolve_cycle_engine(engine: Optional[str] = None) -> str:
 #: Outcome columns kept per trace (true LRU, hits refresh recency).  One
 #: figure sweeps a handful of geometries per component; the bound covers
 #: every component x geometry x warm combination a sweep interleaves.
+#: All eight experiments in a row evict only entries they never revisit,
+#: so the small per-level IL1/DL1 entries cost no recomputation.
 _OUTCOME_MEMO_LIMIT = 24
 
 #: Opcode-code -> latency lookup as a NumPy array (outcome engine merges).
@@ -233,15 +240,6 @@ def _outcome_memo(trace, key, n_ops, component, build):
         memos.pop(next(iter(memos)))
     memos[key] = (n_ops, value)
     return value
-
-
-def _cache_geometry(cache_config):
-    """Outcome-determining identity of one cache level (None = perfect).
-    Latencies are deliberately excluded: they shift timing, not hits."""
-    if cache_config is None:
-        return None
-    return (cache_config.size_bytes, cache_config.assoc,
-            cache_config.line_bytes)
 
 
 #: Ready-array layout for the timing kernel: indices 0..NUM_REGS-1 are the
@@ -787,8 +785,11 @@ class CycleSimulator:
         dise = config.dise
         hier = _outcome_memo(
             trace, mem_key, n_ops, "mem",
-            lambda: replay_hierarchy(cols, config.il1, config.dl1, config.l2,
-                                     passes=passes),
+            lambda: replay_hierarchy(
+                cols, config.il1, config.dl1, config.l2, passes=passes,
+                memo=lambda key, component, build: _outcome_memo(
+                    trace, key, n_ops, component, build),
+            ),
         )
         ctrl = _outcome_memo(
             trace, ctrl_key, n_ops, "ctrl",
@@ -909,8 +910,8 @@ class CycleSimulator:
 
         pred = config.predictor
         predict_replacement = config.predict_replacement_branches
-        mem_key = ("mem", _cache_geometry(config.il1),
-                   _cache_geometry(config.dl1), _cache_geometry(config.l2),
+        mem_key = ("mem", cache_geometry(config.il1),
+                   cache_geometry(config.dl1), cache_geometry(config.l2),
                    warm_start)
         ctrl_key = ("ctrl", pred.gshare_bits, pred.btb_entries,
                     pred.ras_entries, predict_replacement, warm_start)

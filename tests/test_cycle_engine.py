@@ -7,21 +7,41 @@ counter — across the full 12-profile config grid the figures sweep
 (placements, widths, RT geometries, perfect/real caches, warm/cold).
 The memo tests pin the accelerator state's lifecycle: component columns
 are reused across config sweeps, never serialized, and the reference
-engine's warm-state memo evicts in true LRU order.
+engine's warm-state memo evicts in true LRU order.  A seeded property
+test pins ``replay_hierarchy`` against a per-access ``Cache`` loop.
 """
 
 import dataclasses
+import random
 
 import pytest
 
+import repro.sim.cache
+import repro.sim.cycle
 from repro.core.config import DiseConfig
 from repro.harness.trace_cache import deserialize_trace, serialize_trace
-from repro.sim.config import KB, MachineConfig, dl1_config, il1_config
+from repro.sim.cache import (
+    FETCH_L2_HIT,
+    FETCH_L2_MISS,
+    MEM_SHIFT,
+    Cache,
+    CacheConfig,
+    PerfectCache,
+    replay_hierarchy,
+)
+from repro.sim.config import (
+    KB,
+    MachineConfig,
+    dl1_config,
+    il1_config,
+    l2_config,
+)
 from repro.sim.cycle import (
     CycleSimulator,
     resolve_cycle_engine,
     simulate_trace,
 )
+from repro.sim.trace import META_FETCH, META_MEM, META_STORE, OpColumns
 from repro.telemetry import registry as _telemetry
 from repro.workloads.generator import generate_benchmark
 from repro.workloads.specint import BENCHMARK_NAMES, get_profile
@@ -58,6 +78,34 @@ def config_grid():
     grid.append(("il1-4k", base.with_il1_size(4 * KB)))
     grid.append(("perfect-caches", base.with_changes(
         il1=None, dl1=None, l2=None)))
+    return grid
+
+
+def cache_grid():
+    """Every cache ladder point: the Figure 6 IL1 ladder, a DL1 ladder,
+    associativities, line sizes, perfect levels and a tiny L2 (where the
+    I/D interleave of L2 traffic decides the outcome)."""
+    base = MachineConfig()
+    grid = [(f"il1-{size}", base.with_il1_size(size))
+            for size in (8 * KB, 32 * KB, 128 * KB, None)]
+    grid += [(f"dl1-{size}", base.with_changes(dl1=dl1_config(size)))
+             for size in (8 * KB, 128 * KB)]
+    for assoc in (1, 4, 8, 512):  # 512 ways: fully associative at 32K
+        grid.append((f"il1-assoc-{assoc}", base.with_changes(
+            il1=CacheConfig(32 * KB, assoc, 64, name="il1"))))
+    for line in (32, 128):
+        grid.append((f"lines-{line}", base.with_changes(
+            il1=CacheConfig(8 * KB, 2, line, name="il1"),
+            dl1=CacheConfig(8 * KB, 2, line, name="dl1"),
+            l2=CacheConfig(256 * KB, 4, line, 12, name="l2"))))
+    grid.append(("perfect-dl1", base.with_changes(
+        il1=il1_config(8 * KB), dl1=None)))
+    grid.append(("perfect-l2", base.with_changes(
+        il1=il1_config(8 * KB), dl1=dl1_config(8 * KB), l2=None)))
+    grid.append(("tiny-l2", base.with_changes(
+        il1=CacheConfig(2 * KB, 1, 64, name="il1"),
+        dl1=CacheConfig(2 * KB, 2, 64, name="dl1"),
+        l2=l2_config(8 * KB))))
     return grid
 
 
@@ -116,6 +164,27 @@ class TestConfigGridEquality:
         trace = traces["mcf"]
         for _label, config in config_grid():
             assert_identical(trace, config, warm_start=False)
+
+    @pytest.mark.parametrize("bench", ["mcf", "gcc"])
+    @pytest.mark.parametrize("warm_start", [True, False])
+    def test_cache_ladders(self, traces, bench, warm_start):
+        trace = traces[bench]
+        for _label, config in cache_grid():
+            assert_identical(trace, config, warm_start=warm_start)
+
+    def test_pure_python_fallback(self, traces, monkeypatch):
+        """With NumPy hidden, the static-column, merge and hierarchy
+        fallbacks build the same results from scratch."""
+        monkeypatch.setattr(repro.sim.cycle, "_np", None)
+        monkeypatch.setattr(repro.sim.cache, "_np", None)
+        grid = dict(config_grid() + cache_grid())
+        # A fresh copy carries no memo built on the NumPy path.
+        trace = deserialize_trace(serialize_trace(traces["gzip"]))
+        for label in ("base", "placement-stall", "perfect-caches", "il1-8192",
+                      "lines-32", "perfect-dl1", "perfect-l2", "tiny-l2"):
+            for warm_start in (True, False):
+                assert_identical(trace, grid[label], warm_start)
+        assert trace._static_cols is not None
 
     def test_observer_and_telemetry_identical(self, traces):
         trace = traces["gcc"]
@@ -176,6 +245,22 @@ class TestOutcomeMemos:
             assert counter_value(rt_sweep, "cycle.outcome.mem.misses") == 0
             assert counter_value(rt_sweep, "cycle.outcome.ctrl.misses") == 0
 
+    def test_il1_ladder_replays_dl1_once(self, traces):
+        """The Figure 6 cache ladder misses the per-level memo once for
+        DL1 and once per IL1 point."""
+        trace = deserialize_trace(serialize_trace(traces["parser"]))
+        base = MachineConfig()
+        with _telemetry.enabled_scope(True):
+            before = _telemetry.snapshot()
+            for size in (8 * KB, 32 * KB, 128 * KB, None):
+                simulate_trace(trace, base.with_il1_size(size),
+                               warm_start=True, engine="outcome")
+            delta = _telemetry.snapshot_delta(before, _telemetry.snapshot())
+        assert counter_value(delta, "cycle.outcome.dl1.misses") == 1
+        assert counter_value(delta, "cycle.outcome.dl1.hits") == 3
+        assert counter_value(delta, "cycle.outcome.il1.misses") == 4
+        assert counter_value(delta, "cycle.outcome.mem.misses") == 4
+
     def test_memos_are_transient_across_serialization(self, traces):
         """An RDTC3 round-trip carries no memo state and recomputes
         correctly."""
@@ -219,3 +304,84 @@ class TestWarmMemoLRU:
             simulate_trace(trace, hot, warm_start=True, engine="reference")
         assert hot_signature in trace._warm_states
         assert len(trace._warm_states) <= _WARM_MEMO_LIMIT
+
+
+def oracle_hierarchy(columns, il1_config, dl1_config, l2_config, passes):
+    """The per-access definition of :func:`replay_hierarchy`: one
+    ``Cache.access`` call per access, fetch before data within an op."""
+    def make(config):
+        return Cache(config) if config is not None else PerfectCache()
+
+    il1, dl1, l2 = make(il1_config), make(dl1_config), make(l2_config)
+    codes = bytearray(len(columns.pc))
+    for _ in range(passes):
+        for cache in (il1, dl1, l2):
+            cache.accesses = cache.misses = 0
+        for i, meta in enumerate(columns.meta):
+            code = 0
+            if meta & META_FETCH and not il1.access(columns.pc[i]):
+                code = FETCH_L2_HIT if l2.access(columns.pc[i]) \
+                    else FETCH_L2_MISS
+            if meta & META_MEM:
+                addr = columns.mem[i]
+                if not dl1.access(addr) and not meta & META_STORE:
+                    code |= (FETCH_L2_HIT if l2.access(addr)
+                             else FETCH_L2_MISS) << MEM_SHIFT
+            codes[i] = code
+    return (bytes(codes), il1.accesses, il1.misses, dl1.accesses,
+            dl1.misses, l2.misses)
+
+
+def random_columns(rng):
+    """A short random op stream over few lines: conflicts, store misses
+    and same-line runs, often opening on the line it closes on so runs
+    cross the warm-start pass boundary."""
+    columns = OpColumns()
+    n = rng.randint(1, 250)
+    lines = [rng.randrange(64) for _ in range(12)]
+    pc = mem = 0
+    for _ in range(n):
+        meta = 0
+        if rng.random() < 0.8:
+            meta |= META_FETCH
+            if rng.random() < 0.6:
+                pc = rng.choice(lines) * 128 + rng.randrange(32) * 4
+        if rng.random() < 0.5:
+            meta |= META_MEM
+            if rng.random() < 0.4:
+                meta |= META_STORE
+            if rng.random() < 0.6:
+                mem = rng.choice(lines) * 128 + rng.randrange(16) * 8
+        columns.pc.append(pc)
+        columns.meta.append(meta)
+        columns.mem.append(mem)
+    if rng.random() < 0.5:  # close on the opening lines
+        columns.pc.append(columns.pc[0])
+        columns.mem.append(columns.mem[0])
+        columns.meta.append(META_FETCH | META_MEM)
+    return columns
+
+
+def random_cache(rng, name):
+    if rng.random() < 0.15:
+        return None
+    line = rng.choice((16, 32, 64, 128))
+    assoc = rng.choice((1, 2, 3, 4, 8))
+    sets = rng.choice((1, 2, 3, 4, 8))
+    return CacheConfig(line * assoc * sets, assoc, line, name=name)
+
+
+class TestReplayHierarchyProperty:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_per_access_cache_loop(self, seed, monkeypatch):
+        rng = random.Random(seed)
+        columns = random_columns(rng)
+        levels = [random_cache(rng, name) for name in ("il1", "dl1", "l2")]
+        if seed % 3 == 0:  # the pure-Python path, on a third of the seeds
+            monkeypatch.setattr(repro.sim.cache, "_np", None)
+        for passes in (1, 2):
+            out = replay_hierarchy(columns, *levels, passes=passes)
+            got = (out.codes, out.il1_accesses, out.il1_misses,
+                   out.dl1_accesses, out.dl1_misses, out.l2_misses)
+            assert got == oracle_hierarchy(columns, *levels, passes), (
+                seed, levels, passes)

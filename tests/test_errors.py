@@ -9,6 +9,7 @@ from repro.errors import (
     CampaignError,
     CheckpointError,
     CircuitOpenError,
+    ConfigError,
     ExecutionError,
     ExecutionTimeout,
     FabricError,
@@ -24,6 +25,9 @@ from repro.errors import (
 from repro.isa.build import halt, jmp, li
 from repro.isa.opcodes import Opcode
 from repro.program.builder import ProgramBuilder
+from repro.sim.branch import BranchPredictorConfig
+from repro.sim.cache import CacheConfig
+from repro.sim.config import MachineConfig
 from repro.sim.functional import run_program
 
 T0 = 1
@@ -143,6 +147,54 @@ class TestSimulatorRaises:
             build_composition(image, "nonsense")
         with pytest.raises(ValueError):       # the deprecation shim
             build_composition(image, "nonsense")
+
+
+class TestConfigValidation:
+    """Machine, cache and predictor configs reject bad values when they
+    are built, with a typed error that is still a ``ValueError``."""
+
+    def test_config_error_keeps_value_error_base(self):
+        assert issubclass(ConfigError, ReproError)
+        assert issubclass(ConfigError, ValueError)
+        assert not is_retryable(ConfigError("bad geometry"))
+
+    @pytest.mark.parametrize("line_bytes", [48, 96, 3])
+    def test_cache_line_must_be_a_power_of_two(self, line_bytes):
+        with pytest.raises(ConfigError, match="power of two"):
+            CacheConfig(size_bytes=line_bytes * 64, assoc=2,
+                        line_bytes=line_bytes)
+
+    def test_cache_geometry_errors_are_typed(self):
+        with pytest.raises(ConfigError):
+            CacheConfig(size_bytes=0, assoc=1)
+        with pytest.raises(ConfigError):
+            CacheConfig(size_bytes=128, assoc=3, line_bytes=64)
+
+    def test_power_of_two_lines_accepted(self):
+        for line_bytes in (1, 32, 64, 128):
+            CacheConfig(size_bytes=line_bytes * 64, assoc=2,
+                        line_bytes=line_bytes)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(btb_entries=0),
+        dict(btb_entries=-4),
+        dict(gshare_bits=-1),
+        dict(ras_entries=-1),
+    ])
+    def test_predictor_rejects_bad_sizes(self, kwargs):
+        with pytest.raises(ConfigError):
+            BranchPredictorConfig(**kwargs)
+
+    def test_predictor_accepts_degenerate_but_valid_sizes(self):
+        BranchPredictorConfig(btb_entries=1, gshare_bits=0, ras_entries=0)
+
+    @pytest.mark.parametrize("field", ["width", "rob_entries", "rs_entries"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_machine_rejects_empty_pipeline_resources(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            MachineConfig(**{field: value})
+        with pytest.raises(ConfigError, match=field):
+            MachineConfig().with_changes(**{field: value})
 
 
 class TestRetryClassification:
